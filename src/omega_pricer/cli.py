@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import os
 import sys
 import time
 from pathlib import Path
@@ -21,13 +20,7 @@ from .discount import check_flat_below_one, shift_tilt
 from .levy import LevyModel
 from .mc import bermudan_dp, bermudan_value_at, stopped_value, symmetry_check
 from .pricer import Boundaries, PricingProblem, hjb_residual, optimize_boundaries
-from .scale import (
-    CreepingError,
-    GridTooCoarseError,
-    LogGrid,
-    RatioLimitError,
-    build_scale_table,
-)
+from .scale import GridTooCoarseError, LogGrid, RatioLimitError, build_scale_table
 
 __all__ = ["main", "run", "load_config", "PRESETS"]
 
@@ -78,7 +71,6 @@ _SCHEMA = {
         "call_l": (float, None),
         "call_u": (float, None),
         "c_rel_tol": (float, 1e-6),
-        "fit_tol": (float, 1e-6),
     },
 }
 
@@ -219,15 +211,13 @@ def emit_figure_data(result, problem, out_path: Path):
 
 def run(cfg: dict, out_dir: Path, quiet: bool = False) -> int:
     """Execute one configured task; returns the process exit code."""
-    t_start = time.time()
+    t_start = time.perf_counter()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     summary = {}
-    threads = os.environ.get("OMEGA_PRICER_THREADS")
-    summary["threads_cap"] = threads if threads else "unset"
 
     def finish(code):
-        summary["runtime_s"] = f"{time.time() - t_start:.3f}"
+        summary["runtime_s"] = f"{time.perf_counter() - t_start:.3f}"
         summary["exit_code"] = code
         with open(out_dir / "summary.txt", "w", newline="\n") as fh:
             for k, v in summary.items():
@@ -326,13 +316,14 @@ def run(cfg: dict, out_dir: Path, quiet: bool = False) -> int:
             summary["kernel_residual_mass"] = f"{res['kernel_residual_mass']:.3e}"
         else:
             raise ConfigError(f"unknown task {task!r}")
-    except (ConfigError,) as err:
-        summary["error"] = str(err)
-        return finish(EXIT_CONFIG)
-    except (RatioLimitError, CreepingError, GridTooCoarseError, OverflowError,
+    except (RatioLimitError, GridTooCoarseError, np.linalg.LinAlgError, OverflowError,
             RuntimeError) as err:
         summary["error"] = f"{type(err).__name__}: {err}"
         return finish(EXIT_NUMERICS)
+    except ValueError as err:
+        # ConfigError, or a model/discount combination outside the supported domain
+        summary["error"] = str(err)
+        return finish(EXIT_CONFIG)
     return finish(EXIT_OK)
 
 

@@ -1,7 +1,7 @@
 """Discount functions omega(s) and their log-coordinate transforms.
 
 The pricing formulas work with the log-coordinate view eta(x) = omega(e^x)
-and its shifted/tilted variants eta_u^alpha(x) = omega(u e^x) - psi(alpha).
+and its level-shifted variants eta_u(x) = omega(u e^x).
 """
 
 from __future__ import annotations
@@ -10,8 +10,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-
-from .levy import LevyModel, laplace_exponent
 
 __all__ = [
     "DiscountFn",
@@ -236,16 +234,15 @@ class Tabulated(DiscountFn):
 
 @dataclass(frozen=True)
 class LogDiscount:
-    """The map x -> omega(u e^x) - tilt, i.e. eta_u^alpha in log coordinates."""
+    """The map x -> omega(u e^x), i.e. eta_u in log coordinates."""
 
     base: DiscountFn
     shift: float = 0.0  # log u
-    tilt: float = 0.0   # psi(alpha)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         s = np.exp(x + self.shift)
-        out = self.base(s) - self.tilt
+        out = self.base(s)
         return out if x.ndim else float(out)
 
     def deriv(self, x):
@@ -259,27 +256,12 @@ class LogDiscount:
     def differentiable(self) -> bool:
         return self.base.differentiable
 
-    @property
-    def lower_bound(self) -> float:
-        return self.base.lower_bound - self.tilt
 
-    def retilt(self, extra: float) -> "LogDiscount":
-        return LogDiscount(self.base, self.shift, self.tilt + extra)
-
-
-def shift_tilt(fn: DiscountFn, u: float, model: Optional[LevyModel] = None,
-               alpha: float = 0.0) -> LogDiscount:
-    """LogDiscount evaluating x -> omega(u e^x) - psi(alpha)."""
+def shift_tilt(fn: DiscountFn, u: float) -> LogDiscount:
+    """LogDiscount evaluating x -> omega(u e^x)."""
     if u <= 0.0:
         raise ValueError("u must be > 0")
-    if alpha < 0.0:
-        raise ValueError("alpha must be >= 0")
-    tilt = 0.0
-    if alpha > 0.0:
-        if model is None:
-            raise ValueError("model required when alpha > 0")
-        tilt = float(laplace_exponent(model, alpha))
-    return LogDiscount(fn, shift=float(np.log(u)), tilt=tilt)
+    return LogDiscount(fn, shift=float(np.log(u)))
 
 
 def check_flat_below_one(fn: DiscountFn, n_samples: int = 257) -> Optional[float]:

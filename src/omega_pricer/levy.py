@@ -1,4 +1,4 @@
-"""Spectrally negative Levy models: Laplace exponents, roots, Esscher tilts.
+"""Spectrally negative Levy models: Laplace exponents, roots, calibration.
 
 Two model families are supported: Brownian motion with drift (Black-Scholes)
 and Brownian-with-drift minus a compound Poisson process with exponentially
@@ -24,7 +24,6 @@ __all__ = [
     "laplace_exponent_deriv",
     "phi_right_inverse",
     "psi_roots",
-    "esscher_tilt",
     "martingale_drift",
 ]
 
@@ -246,21 +245,3 @@ def _psi_continued_deriv(model: LevyModel, theta: float) -> float:
     if model.lam > 0.0:
         out -= model.lam * model.phi / (model.phi + theta) ** 2
     return out
-
-
-def esscher_tilt(model: LevyModel, alpha: float) -> LevyModel:
-    """Exponentially tilted model with psi_alpha(theta) = psi(theta+alpha) - psi(alpha).
-
-    Parameter map: zeta -> zeta + sigma^2 alpha, sigma unchanged,
-    lam -> lam*phi/(phi+alpha), phi -> phi + alpha.
-    """
-    if alpha < 0.0:
-        raise ValueError("alpha must be >= 0")
-    if alpha == 0.0:
-        return model
-    return LevyModel(
-        mu=model.mu + model.sigma ** 2 * alpha,
-        sigma=model.sigma,
-        lam=model.lam * model.phi / (model.phi + alpha) if model.lam > 0.0 else 0.0,
-        phi=model.phi + alpha,
-    )

@@ -5,12 +5,15 @@ Three analytic routes cover the supported model/discount combinations:
 * Black-Scholes models price through two solutions of the second-order
   equation sigma^2 s^2/2 h'' + mu s h' - omega(s) h = 0 (an inner branch
   used below the stopping interval and an outer branch above it).
-* Exponential-jump models with nonnegative discounts stop on [0, u*] and
-  price through the down-passage factor Z - c W of the level-shifted rate,
-  plus a creeping term when sigma > 0.
+* Exponential-jump models with nonnegative discounts stop on [0, u*].  Above
+  u the value is a recessive solution of the scale ODE, fixed by the
+  generator equation at u+ (memoryless overshoot average) and, when
+  sigma > 0, by continuity at u; one scale.RecessiveBasis per problem serves
+  every barrier.  Step and tabulated rates (sigma = 0 only) price through
+  the renewal down-passage factor Z - c W instead.
 * Exponential-jump models whose discount is negative near zero admit a
-  two-sided stopping interval priced through the H-function below, the
-  memoryless overshoot average above, and the same creeping term.
+  two-sided stopping interval priced through the H-function below and the
+  same down-passage and creeping factors above.
 
 Calls are handled exclusively through the put-call transform.
 """
@@ -30,13 +33,13 @@ from .discount import DiscountFn, Rational, check_flat_below_one, shift_tilt
 from .levy import LevyModel, laplace_exponent, psi_roots
 from .scale import (
     LogGrid,
+    RecessiveBasis,
     _c_limit_by_extension,
     build_scale_table,
-    creeping_profile,
-    ode_solve_crash,
-    ode_solve_crash_sigma,
     phi_ext,
     renewal_solve_h,
+    renewal_solve_w,
+    renewal_solve_z,
 )
 from .specfun import gauss_2f1, gauss_2f1_deriv
 
@@ -222,14 +225,21 @@ def rational_bs_branches(model: LevyModel, omega: Rational):
     return params, h, h_deriv
 
 
+def _rational_closed_form(model: LevyModel, omega: DiscountFn) -> bool:
+    """True when the 2F1 branches anchor the h-equation: rational omega, G < 1/2."""
+    return isinstance(omega, Rational) and rational_bs_branches(model, omega)[0][1].c > 0.0
+
+
 def solve_h_ode(model: LevyModel, omega: DiscountFn,
                 s_range: tuple = (0.05, 40.0)) -> tuple:
     """Inner and outer solutions of the h-equation as HBranch objects.
 
     The inner branch continues the larger-exponent power solution from
     s -> 0 and the outer branch the decaying one from s -> infinity.  For
-    the rational discount family both branches are anchored to their closed
-    hypergeometric forms, which the integration then reproduces.
+    the rational discount family with G < 1/2 both branches are anchored to
+    their closed hypergeometric forms, which the integration then
+    reproduces; for G >= 1/2 the outer 2F1 turns negative (c = 1 - 2G <= 0)
+    and the generic anchors are used.
     """
     if model.sigma <= 0.0 or model.has_jumps:
         raise ValueError("h-equation route requires a Black-Scholes model")
@@ -237,7 +247,7 @@ def solve_h_ode(model: LevyModel, omega: DiscountFn,
     zeta = model.zeta
     s_lo, s_hi = s_range
     x_lo, x_hi = math.log(s_lo / 4.0), math.log(s_hi * 4.0)
-    if isinstance(omega, Rational):
+    if _rational_closed_form(model, omega):
         _, h, h_deriv = rational_bs_branches(model, omega)
         a_in, a_out = 1.0, max(2.0, 0.5 * s_hi)
         inner = HBranch(model, omega, math.log(a_in), math.log(h(2, a_in)),
@@ -302,17 +312,31 @@ def _default_s_range(problem: PricingProblem, b: Optional[Boundaries] = None) ->
 # ---------------------------------------------------------------------------
 
 class _CrashValuation:
-    """Per-u scale data for the one-sided jump value."""
+    """Down-passage data for the jump value, shared by every barrier u.
 
-    def __init__(self, problem: PricingProblem, x_max: float = 3.0, n: int = 1537):
-        if not problem.model.has_jumps:
+    Differentiable rates price from one RecessiveBasis of the scale ODE on
+    [s_lo, s_hi]: for s > u the value is the recessive solution that meets the
+    generator equation at s = u+ (and, when sigma > 0, continuity at u).  Step
+    and tabulated rates keep the renewal march with its extrapolated tail
+    constant c(u) (sigma = 0 only; x_max and n size its grids).
+    """
+
+    def __init__(self, problem: PricingProblem, s_lo: float, s_hi: float,
+                 x_max: float = 3.0, n: int = 1537):
+        model, omega = problem.model, problem.omega
+        if not model.has_jumps:
             raise ValueError("requires an exponential-jump model")
+        if model.sigma > 0.0 and not omega.differentiable:
+            raise ValueError(f"sigma > 0 jump models need a differentiable discount; "
+                             f"{omega.kind} rates are supported for sigma = 0 only")
         self.problem = problem
         self.x_max = x_max
         self.n = n
         self._c_cache: dict = {}
+        self.core = RecessiveBasis(model, omega, s_lo, s_hi) if omega.differentiable else None
 
     def c_of(self, u: float) -> float:
+        """Tail constant lim Z/W of the renewal tables at barrier u."""
         key = round(u, 12)
         if key not in self._c_cache:
             xi = shift_tilt(self.problem.omega, u)
@@ -321,40 +345,54 @@ class _CrashValuation:
                 dec, xi, LogGrid(min(self.x_max, 3.0), 1201), rel_tol=1e-7)
         return self._c_cache[key]
 
-    def passage_split(self, u: float, x: np.ndarray) -> tuple:
-        """(total down-passage factor, creeping part) at log-distances x.
-
-        Differentiable rates evaluate the ODE route exactly at the requested
-        points; discontinuous kinds fall back to interpolated renewal tables.
-        """
+    def _coef(self, u: float, f0: float, gbar: float) -> tuple:
+        """Basis at log u and coefficients of the recessive F with, at s = u+,
+        sigma^2/2 F'' + zeta F' - (lam + omega(u)) F + lam gbar = 0 and, when
+        sigma > 0, F = f0 (gbar: mean of F over the jump landing below u)."""
         model = self.problem.model
-        xi = shift_tilt(self.problem.omega, u)
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        c = self.c_of(u)
-        if xi.differentiable:
-            xs = np.unique(np.concatenate([[0.0], x]))
-            grid_like = _PointGrid(xs)
-            solver = ode_solve_crash if model.sigma == 0.0 else ode_solve_crash_sigma
-            wv = solver(model, xi, grid_like, "W")
-            zv = solver(model, xi, grid_like, "Z")
-            total = np.interp(x, xs, zv - c * wv)
-        else:
-            key = ("tab", round(u, 12))
-            if key not in self._c_cache:
-                from .scale import renewal_solve_w, renewal_solve_z
-
-                dec = psi_roots(model)
-                grid = LogGrid(max(self.x_max, float(np.max(x)) + 0.1), self.n)
-                wv = renewal_solve_w(dec, xi, grid)
-                zv = renewal_solve_z(dec, xi, grid)
-                self._c_cache[key] = (grid.nodes(), zv - c * wv)
-            nodes, tot = self._c_cache[key]
-            total = np.interp(x, nodes, tot)
+        basis = self.core.basis(math.log(u))
+        gen = np.array([-(model.lam + float(self.problem.omega(u))), model.zeta,
+                        0.5 * model.sigma ** 2])[:self.core.order]
+        rows, rhs = [gen @ basis], [-model.lam * gbar]
         if model.sigma > 0.0:
-            creep = creeping_profile(model, self.problem.omega, u, x)
-        else:
-            creep = np.zeros_like(x)
-        return total, creep
+            rows.append(basis[0])
+            rhs.append(f0)
+        return basis, np.linalg.solve(np.array(rows), np.array(rhs))
+
+    def passage_split(self, u: float, x: np.ndarray) -> tuple:
+        """(total down-passage factor, creeping part) at log-distances x >= 0."""
+        model = self.problem.model
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        creep = np.zeros_like(x)
+        if self.core is not None:
+            y = math.log(u) + x
+            total = self.core.evaluate(math.log(u), self._coef(u, 1.0, 1.0)[1], y)
+            if model.sigma > 0.0:
+                creep = self.core.evaluate(math.log(u), self._coef(u, 1.0, 0.0)[1], y)
+            return total, creep
+        key = ("tab", round(u, 12))
+        if key not in self._c_cache:
+            xi = shift_tilt(self.problem.omega, u)
+            dec = psi_roots(model)
+            grid = LogGrid(max(self.x_max, float(np.max(x)) + 0.1), self.n)
+            wv = renewal_solve_w(dec, xi, grid)
+            zv = renewal_solve_z(dec, xi, grid)
+            self._c_cache[key] = (grid.nodes(), zv - self.c_of(u) * wv)
+        nodes, tot = self._c_cache[key]
+        return np.interp(x, nodes, tot), creep
+
+    def fit_gap(self, u: float) -> float:
+        """Fit residual at barrier u: V(u+) - (K - u) for sigma = 0 (continuous
+        fit), u (V'(u+) + 1) for sigma > 0 (smooth fit)."""
+        K = self.problem.strike
+        model = self.problem.model
+        gbar = K - u * model.phi / (model.phi + 1.0)
+        if self.core is None:  # renewal route, sigma = 0: W(0) = 1/mu
+            return gbar * (1.0 - self.c_of(u) / model.mu) - (K - u)
+        basis, coef = self._coef(u, K - u, gbar)
+        if model.sigma == 0.0:
+            return float(basis[0] @ coef) - (K - u)
+        return float(basis[1] @ coef) + u
 
     def value(self, u: float, s) -> np.ndarray:
         K = self.problem.strike
@@ -370,18 +408,6 @@ class _CrashValuation:
         return out
 
 
-class _PointGrid:
-    """Duck-typed grid over explicit sorted nodes (for exact ODE evaluation)."""
-
-    def __init__(self, xs: np.ndarray):
-        self._xs = np.asarray(xs, dtype=float)
-        self.x_max = float(self._xs[-1]) if self._xs[-1] > 0 else 1e-9
-        self.n = len(self._xs)
-
-    def nodes(self) -> np.ndarray:
-        return self._xs
-
-
 def value_crash_one_sided(problem: PricingProblem, u: float, s,
                           valuation: Optional[_CrashValuation] = None):
     """One-sided (l = 0) value for exponential-jump models with omega >= 0.
@@ -393,52 +419,23 @@ def value_crash_one_sided(problem: PricingProblem, u: float, s,
     if not problem.omega.is_nonnegative:
         raise ValueError("one-sided route requires omega >= 0")
     if valuation is None:
-        x_need = max(3.0, math.log(max(float(np.max(np.atleast_1d(s))), 2.0) / u) + 0.5)
-        valuation = _CrashValuation(problem, x_max=x_need)
+        s_hi = max(float(np.max(np.atleast_1d(s))), u)
+        x_need = max(3.0, math.log(max(s_hi, 2.0) / u) + 0.5)
+        valuation = _CrashValuation(problem, u, s_hi, x_max=x_need)
     out = valuation.value(u, s)
     return float(out[0]) if np.ndim(s) == 0 else out
 
 
-def _crash_fit_root_sigma0(problem: PricingProblem, valuation: _CrashValuation) -> float:
-    """Continuous-fit boundary for sigma = 0: value(u+) = K - u."""
+def _crash_fit_root(problem: PricingProblem, valuation: _CrashValuation) -> float:
+    """One-sided boundary: the first root of valuation.fit_gap on (0, K)."""
     K = problem.strike
-    phi = problem.model.phi
-    w0 = 1.0 / problem.model.mu  # W(0+) for the finite-variation model
-
-    def resid(u):
-        return ((K - u * phi / (phi + 1.0)) * (1.0 - valuation.c_of(u) * w0)
-                - (K - u))
-
     us = np.linspace(0.02 * K, 0.995 * K, 48)
-    vals = [resid(x) for x in us]
+    vals = [valuation.fit_gap(x) for x in us]
     for x0, x1, v0, v1 in zip(us[:-1], us[1:], vals[:-1], vals[1:]):
         if v0 * v1 < 0.0:
-            return brentq(resid, x0, x1, xtol=1e-10)
-    raise RuntimeError("no continuous-fit root in (0, K); stopping set degenerate")
-
-
-def _crash_fit_root_sigma_pos(problem: PricingProblem, valuation: _CrashValuation) -> float:
-    """Smooth-fit boundary for sigma > 0: d/ds value(u+) = -1."""
-    K = problem.strike
-
-    def deriv_gap(u):
-        eps = 1e-4
-        pts = u * np.exp(np.array([eps, 2.0 * eps]))
-        v = valuation.value(u, pts)
-        v0 = K - u
-        d1 = (v[0] - v0) / (pts[0] - u)
-        d2 = (v[1] - v0) / (pts[1] - u)
-        return 2.0 * d1 - d2 + 1.0
-
-    res = minimize_scalar(lambda u: -valuation.value(u, np.array([1.5 * K]))[0],
-                          bounds=(0.05 * K, 0.98 * K), method="bounded",
-                          options={"xatol": 1e-3 * K})
-    u0 = float(res.x)
-    lo, hi = max(0.02 * K, 0.7 * u0), min(0.995 * K, 1.3 * u0)
-    g_lo, g_hi = deriv_gap(lo), deriv_gap(hi)
-    if g_lo * g_hi < 0.0:
-        return brentq(deriv_gap, lo, hi, xtol=1e-7 * K)
-    return u0
+            return brentq(valuation.fit_gap, x0, x1, xtol=1e-10)
+    raise RuntimeError("no fit root for the one-sided boundary in (0, K); "
+                       "stopping set degenerate")
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +453,8 @@ class _TwoSidedValuation:
         self.flat = check_flat_below_one(omega)
         if self.flat is None:
             raise ValueError("two-sided route requires omega constant on (0, 1]")
+        K = problem.strike
+        self._crash = _CrashValuation(problem, 0.02 * K, 2.2 * K, x_max=x_max, n=n)
         self.x_max = x_max
         self.n = n
         self.phi_c = phi_ext(model, self.flat)
@@ -464,7 +463,6 @@ class _TwoSidedValuation:
         self.h_grid = grid
         self.h_tab = renewal_solve_h(dec_c, shift_tilt(omega, 1.0), self.flat,
                                      grid, self.phi_c)
-        self._crash = _CrashValuation(problem, x_max=x_max, n=n)
 
     def h_at(self, s) -> np.ndarray:
         """H at log-price x = log s; exponential below the flat region."""
@@ -616,14 +614,11 @@ def _two_sided_boundaries(problem: PricingProblem, valuation: _TwoSidedValuation
         return float(vv[0]) - (K - u)
 
     span = 0.03 * K
-    try:
-        r_lo, r_hi = cont_resid(max(u_star - span, 1e-6)), cont_resid(min(u_star + span, 0.999 * K))
-        if np.isfinite(r_lo) and np.isfinite(r_hi) and r_lo * r_hi < 0.0:
-            u_star = brentq(cont_resid, max(u_star - span, 1e-6),
-                            min(u_star + span, 0.999 * K), xtol=1e-10)
-            l_star = best_l(u_star)
-    except Exception:
-        pass
+    r_lo, r_hi = cont_resid(max(u_star - span, 1e-6)), cont_resid(min(u_star + span, 0.999 * K))
+    if np.isfinite(r_lo) and np.isfinite(r_hi) and r_lo * r_hi < 0.0:
+        u_star = brentq(cont_resid, max(u_star - span, 1e-6),
+                        min(u_star + span, 0.999 * K), xtol=1e-10)
+        l_star = best_l(u_star)
     return Boundaries(l_star, u_star)
 
 
@@ -808,7 +803,7 @@ def putcall_transform(problem: PricingProblem, s: float, b: Boundaries) -> DualP
 
 def optimize_boundaries(problem: PricingProblem, n_curve: int = 512) -> PricingResult:
     """Locate the optimal stopping interval and assemble the value curve."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     if problem.payoff == "call":
         raise ValueError("price calls through the put-call transform "
                          "(putcall_transform / mc.symmetry_check)")
@@ -822,13 +817,9 @@ def optimize_boundaries(problem: PricingProblem, n_curve: int = 512) -> PricingR
             raise ValueError("finite-variation model needs positive drift")
         if omega.is_nonnegative:
             x_need = math.log(2.2 * K / (0.01 * K))
-            val = _CrashValuation(problem, x_max=x_need)
-            if model.sigma == 0.0:
-                u_star = _crash_fit_root_sigma0(problem, val)
-                diagnostics["fit_condition"] = "continuous"
-            else:
-                u_star = _crash_fit_root_sigma_pos(problem, val)
-                diagnostics["fit_condition"] = "smooth"
+            val = _CrashValuation(problem, 0.02 * K, 2.2 * K, x_max=x_need)
+            u_star = _crash_fit_root(problem, val)
+            diagnostics["fit_condition"] = "continuous" if model.sigma == 0.0 else "smooth"
             bounds = Boundaries(0.0, u_star)
             value_fn = lambda s: val.value(u_star, s)
         else:
@@ -870,7 +861,7 @@ def optimize_boundaries(problem: PricingProblem, n_curve: int = 512) -> PricingR
                               * outer.dlog_ds(s[above]))
             return out
 
-        diagnostics["h_route"] = "rational-2f1" if isinstance(omega, Rational) \
+        diagnostics["h_route"] = "rational-2f1" if _rational_closed_form(model, omega) \
             else "generic"
         diagnostics["fit_condition"] = "smooth"
     s_grid = np.linspace(2.0 * K / n_curve, 2.0 * K, n_curve)
@@ -882,7 +873,7 @@ def optimize_boundaries(problem: PricingProblem, n_curve: int = 512) -> PricingR
                            value_deriv_fn=deriv_fn)
     result.fit = smooth_fit_residual(result, problem)
     result.diagnostics["convexity_margin"] = convexity_margin(result)
-    result.diagnostics["runtime_s"] = time.time() - t0
+    result.diagnostics["runtime_s"] = time.perf_counter() - t0
     return result
 
 

@@ -5,13 +5,16 @@ is the classical zero scale function, a short sum of exponentials for the
 supported models.  The solver exploits that structure: each kernel exponential
 is convolved exactly against a piecewise-linear interpolant of the running
 solution (product integration), giving an explicit O(n) forward march per
-table with no stiffness penalty from fast kernel components.
+table with no stiffness penalty from fast kernel components.  Tail ratios
+(Z/W limits) are extrapolated from extended runs with Aitken acceleration.
 
-A second, independent route integrates the equivalent linear ODEs for
-continuously differentiable rate functions; the two routes cross-validate
-each other.  Tail ratios (Z/W limits) are extrapolated from extended runs
-with Aitken acceleration, and the creeping factor is obtained from an
-exponential-tilt ladder evaluated by renormalised ODE integration.
+For continuously differentiable rate functions the scale functions also
+solve linear ODEs whose coefficients depend only on the absolute log-price
+y = log s.  Forward integration of these ODEs cross-validates the march, and
+`RecessiveBasis` integrates their recessive (decaying in s) solutions once,
+backward in y, so that a single object serves every barrier level: the
+one-sided jump value, the passage factor Z - c W and its creeping part are
+all recessive solutions fixed by conditions at y = log u.
 """
 
 from __future__ import annotations
@@ -24,13 +27,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .discount import DiscountFn, LogDiscount, Tabulated, shift_tilt
-from .levy import (
-    LevyModel,
-    RootDecomposition,
-    esscher_tilt,
-    phi_right_inverse,
-    psi_roots,
-)
+from .levy import LevyModel, RootDecomposition, phi_right_inverse, psi_roots
 
 try:
     from numba import njit
@@ -53,7 +50,6 @@ __all__ = [
     "ScaleTable",
     "GridTooCoarseError",
     "RatioLimitError",
-    "CreepingError",
     "classical_w",
     "classical_z",
     "renewal_solve_w",
@@ -63,8 +59,7 @@ __all__ = [
     "ratio_limit",
     "ode_solve_crash",
     "ode_solve_crash_sigma",
-    "creeping_limit",
-    "creeping_profile",
+    "RecessiveBasis",
     "build_scale_table",
     "phi_ext",
 ]
@@ -84,14 +79,6 @@ class RatioLimitError(RuntimeError):
     def __init__(self, msg: str, estimates):
         super().__init__(f"{msg}; last estimates {list(estimates)}")
         self.estimates = tuple(estimates)
-
-
-class CreepingError(RuntimeError):
-    """Tilt ladder failed to stabilise."""
-
-    def __init__(self, msg: str, trace):
-        super().__init__(f"{msg}; ladder trace {trace}")
-        self.trace = tuple(trace)
 
 
 @dataclass(frozen=True)
@@ -522,79 +509,108 @@ def ode_solve_crash_sigma(model: LevyModel, xi: LogDiscount, grid: LogGrid,
     return sol.y[0]
 
 
-def _ode_wz_shifted(model: LevyModel, xi: LogDiscount, kappa: float,
-                    x_points: np.ndarray, rtol: float = 1e-10):
-    """Joint integration of the e^{kappa x}-rescaled (W, Z) pair.
+# Integration constants of RecessiveBasis, fixed by the self-convergence test
+# in tests/test_scale.py (a tenfold tighter tolerance and a doubled margin move
+# the sigma = 0.2 crash boundary by far less than 1e-6).
+_CORE_RTOL = 1e-10
+_CORE_CHUNK = 0.1    # re-orthonormalisation interval in y
+_CORE_MARGIN = 3.0   # start this far above log(s_hi) so the start error decays by then
 
-    Substituting u = e^{-kappa x} u~ into the scale ODEs shifts every mode by
-    +kappa analytically, so tilted systems whose solutions decay like
-    e^{-alpha x} can be integrated with alpha-independent conditioning.
-    Residual growth is handled by common-state renormalisation; returns
-    (wv, zv, ls) at x_points with true-rescaled values wv*exp(ls) etc.
+
+class RecessiveBasis:
+    """Recessive solutions of the scale ODE of (model, omega) on [s_lo, s_hi].
+
+    In absolute log-price y = log s the scale ODE of an exponential-jump
+    model has order n = 2 (sigma = 0) or n = 3 (sigma > 0), with coefficients
+    that do not depend on any barrier.  One solution dominates as s -> infinity
+    (like s^Phi(q) where the rate tends to q); the n - 1 dimensional subspace
+    of the others (the recessive solutions) holds every passage factor.  The
+    subspace is integrated once, backward in y from the frozen-coefficient
+    recessive eigenvectors at log(s_hi) + margin, in chunks re-orthonormalised
+    by QR (continuous orthonormalisation, Conte 1966) so the basis never loses
+    rank.  Each chunk keeps its dense output and its R factor, so a recessive
+    solution given by its coefficients at one level is known at every level
+    above it.
     """
-    if model.sigma > 0.0 and model.has_jumps:
-        coeffs3, w_init, z_init = _ode_coeffs_three_root(model, xi)
-        order = 3
-        k2, k3 = kappa * kappa, kappa ** 3
 
-        def rhs(x, y):
-            a2, a1, a0 = coeffs3(x)
-            b2 = a2 + 3.0 * kappa
-            b1 = a1 - 2.0 * kappa * a2 - 3.0 * k2
-            b0 = a0 - kappa * a1 + k2 * a2 + k3
-            return [y[1], y[2], b2 * y[2] + b1 * y[1] + b0 * y[0],
-                    y[4], y[5], b2 * y[5] + b1 * y[4] + b0 * y[3]]
+    def __init__(self, model: LevyModel, fn: DiscountFn, s_lo: float, s_hi: float):
+        if not model.has_jumps:
+            raise ValueError("recessive basis requires an exponential-jump model")
+        if not 0.0 < s_lo <= s_hi:
+            raise ValueError("need 0 < s_lo <= s_hi")
+        xi = shift_tilt(fn, 1.0)
+        _require_differentiable(xi)
+        n = 3 if model.sigma > 0.0 else 2
+        m = n - 1
+        coeffs = (_ode_coeffs_three_root if n == 3 else _ode_coeffs_two_root)(model, xi)[0]
+        self.order = n
+        self.y_lo = math.log(s_lo)
+        self.y_top = math.log(s_hi)
 
-        def lift(init):
-            u0, u1, u2 = init
-            return [u0, u1 + kappa * u0, u2 + 2.0 * kappa * u1 + k2 * u0]
-    else:
-        coeffs2, w_init, z_init = _ode_coeffs_two_root(model, xi)
-        order = 2
-        k2 = kappa * kappa
+        def rhs(y, v):
+            basis = v.reshape(n, m)
+            last = np.asarray(coeffs(y)[::-1]) @ basis  # a0 F + a1 F' (+ a2 F'')
+            return np.vstack([basis[1:], last]).ravel()
 
-        def rhs(x, y):
-            a1, a0 = coeffs2(x)
-            b1 = a1 + 2.0 * kappa
-            b0 = a0 - kappa * a1 - k2
-            return [y[1], b1 * y[1] + b0 * y[0],
-                    y[3], b1 * y[3] + b0 * y[2]]
+        y_hi = self.y_top + _CORE_MARGIN
+        companion = np.eye(n, k=1)
+        companion[-1] = coeffs(y_hi)[::-1]
+        lam, vec = np.linalg.eig(companion)
+        by_re = np.argsort(lam.real)
+        # the dominant mode continues Phi(q), the largest root of psi = q; it
+        # must be separated from the rest (it decays itself when q < 0)
+        if not lam[by_re[-1]].real > lam[by_re[-2]].real:
+            raise RuntimeError(f"no separated dominant mode at s = {math.exp(y_hi):.4g}: "
+                               f"frozen exponents {lam}")
+        rec = vec[:, by_re[:m]]
+        # real and imaginary parts span the same real subspace as a conjugate pair
+        q = np.linalg.svd(np.hstack([rec.real, rec.imag]))[0][:, :m]
+        n_chunks = max(1, int(math.ceil((y_hi - self.y_lo) / _CORE_CHUNK)))
+        self._edges = np.linspace(y_hi, self.y_lo, n_chunks + 1)
+        self._dense = []
+        self._r = []
+        for y0, y1 in zip(self._edges[:-1], self._edges[1:]):
+            sol = solve_ivp(rhs, (y0, y1), q.ravel(), method="DOP853", rtol=_CORE_RTOL,
+                            atol=1e-3 * _CORE_RTOL, dense_output=True)
+            if not sol.success:
+                raise RuntimeError(f"recessive basis integration failed near "
+                                   f"s = {math.exp(sol.t[-1]):.4g}: {sol.message}")
+            q, r = np.linalg.qr(sol.y[:, -1].reshape(n, m))
+            self._dense.append(sol.sol)
+            self._r.append(r)
 
-        def lift(init):
-            u0, u1 = init
-            return [u0, u1 + kappa * u0]
+    def _chunk(self, y) -> np.ndarray:
+        y = np.asarray(y, dtype=float)
+        if np.any(y < self.y_lo - 1e-12) or np.any(y > self.y_top + 1e-12):
+            raise ValueError(f"log-price outside the basis range "
+                             f"[{self.y_lo:.6g}, {self.y_top:.6g}]")
+        k = np.searchsorted(-self._edges, -y, side="right") - 1
+        return np.clip(k, 0, len(self._dense) - 1)
 
-    state = {"y": np.array(lift(w_init) + lift(z_init), dtype=float),
-             "ls": 0.0, "x": 0.0, "alive": True}
+    def basis(self, y: float) -> np.ndarray:
+        """n x (n-1) matrix of (F, F', ...) at y for the basis of y's chunk."""
+        return self._dense[int(self._chunk(y))](y).reshape(self.order, -1)
 
-    def advance(x_next: float) -> bool:
-        if not state["alive"] or x_next <= state["x"]:
-            return state["alive"]
-        with np.errstate(all="ignore"):
-            sol = solve_ivp(rhs, (state["x"], x_next), state["y"],
-                            method="DOP853", rtol=rtol, atol=1e-160)
-        if not sol.success:
-            state["alive"] = False
-            return False
-        state["y"] = sol.y[:, -1]
-        state["x"] = x_next
-        mag = float(np.max(np.abs(state["y"])))
-        if mag > 1e120 or (mag != 0.0 and mag < 1e-120):
-            fac = math.log(mag)
-            state["y"] = state["y"] * math.exp(-fac)
-            state["ls"] += fac
-        return True
+    def evaluate(self, y0: float, coef, ys) -> np.ndarray:
+        """F(ys) at ys >= y0 for the recessive solution F(y0) = basis(y0) @ coef.
 
-    wv = np.empty(len(x_points))
-    zv = np.empty(len(x_points))
-    lsv = np.empty(len(x_points))
-    for i, x in enumerate(x_points):
-        if not advance(x):
-            raise RuntimeError("ODE integration failed inside the evaluation range")
-        wv[i] = state["y"][0]
-        zv[i] = state["y"][order]
-        lsv[i] = state["ls"]
-    return wv, zv, lsv, state, advance, order
+        Chunk j's basis is chunk j+1's times R_j, so coefficients carry upward
+        as c_j = R_j^{-1} c_{j+1}.
+        """
+        k0 = int(self._chunk(y0))
+        ys = np.atleast_1d(np.asarray(ys, dtype=float))
+        ks = self._chunk(ys)
+        if np.any(ks > k0):
+            raise ValueError("evaluation points must lie at or above y0")
+        out = np.empty(ys.shape)
+        c = np.asarray(coef, dtype=float)
+        for k in range(k0, int(np.min(ks, initial=k0)) - 1, -1):
+            if k < k0:
+                c = np.linalg.solve(self._r[k], c)
+            sel = ks == k
+            if np.any(sel):
+                out[sel] = self._dense[k](ys[sel])[:self.order - 1].T @ c
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -627,12 +643,10 @@ class ScaleTable:
 
 def build_scale_table(model: LevyModel, xi: LogDiscount, grid: LogGrid, *,
                       want_h: bool = False, flat_level: Optional[float] = None,
-                      want_w2: bool = False, c_rel_tol: float = 1e-6,
-                      prefer_ode: bool = True) -> ScaleTable:
+                      want_w2: bool = False, c_rel_tol: float = 1e-6) -> ScaleTable:
     """W/Z tables plus the tail-ratio constant; optional H and two-argument W."""
     dec = psi_roots(model)
-    use_ode = prefer_ode and xi.differentiable and model.has_jumps
-    if use_ode:
+    if xi.differentiable and model.has_jumps:
         solver = ode_solve_crash if model.sigma == 0.0 else ode_solve_crash_sigma
         w = solver(model, xi, grid, "W")
         z = solver(model, xi, grid, "Z")
@@ -682,116 +696,3 @@ def _w2_column_limits(dec, xi: LogDiscount, grid: LogGrid,
                                   ratios[-3:])
         out[k0] = est
     return out
-
-
-# ---------------------------------------------------------------------------
-# Creeping factor via the exponential-tilt ladder
-# ---------------------------------------------------------------------------
-
-def _tilted_log_bracket(model: LevyModel, fn: DiscountFn, u: float,
-                        alpha: float, xs_eval: np.ndarray) -> np.ndarray:
-    """log of e^{alpha x}(Z_a - c_a W_a)(x) under the alpha-tilted measure.
-
-    Evaluated by renormalised homogeneous ODE integration in tilted
-    coordinates: the system has no inhomogeneity, so the tables carry full
-    relative precision however fast they decay, and the alpha*x offset is
-    applied in log space.
-    """
-    m_a = esscher_tilt(model, alpha)
-    xi_a = shift_tilt(fn, u, model, alpha)
-    x_top = float(np.max(xs_eval))
-    pts = np.unique(np.sort(xs_eval))
-    wv, zv, lsv, state, advance, order = _ode_wz_shifted(m_a, xi_a, alpha, pts)
-    # tail ratio: march outward in half-unit chunks, stop once extrapolated;
-    # fast-growing rates stiffen the system, so a failed chunk just ends the tail
-    samples = []
-    spread = math.inf
-    c_a = math.nan
-    for j in range(1, 29):
-        if not advance(x_top + 0.5 * j):
-            break
-        y = state["y"]
-        if y[0] != 0.0:
-            samples.append(y[order] / y[0])
-        if len(samples) >= 6:
-            try:
-                c_a, spread = _limit_from_samples(samples)
-            except RatioLimitError:
-                continue
-            if spread < 1e-9:
-                break
-    if not samples or not math.isfinite(c_a):
-        raise RatioLimitError(f"no usable tilted tail ratios at alpha={alpha}", samples[-3:])
-    if spread > 1e-4:
-        raise RatioLimitError(f"tilted tail ratio not converged at alpha={alpha}",
-                              samples[-3:])
-    # in kappa=alpha shifted coordinates the bracket already carries e^{alpha x}
-    with np.errstate(invalid="ignore"):
-        br = zv - c_a * wv
-    log_val = np.where(br > 0.0, np.log(np.where(br > 0.0, br, 1.0)) + lsv, -np.inf)
-    return np.interp(xs_eval, pts, log_val)
-
-
-def creeping_profile(model: LevyModel, fn: DiscountFn, u: float, xs,
-                     rel_tol: float = 1e-5, alpha0: Optional[float] = None,
-                     max_doublings: int = 8) -> np.ndarray:
-    """Creeping factors lim_a e^{a x}(Z_a - c_a W_a)(x) at each x in xs.
-
-    For exponential jumps the raw ladder converges like 1/(phi + alpha) (the
-    overshoot is memoryless), so consecutive rungs are extrapolated against
-    that exact law; the stopping rule compares successive extrapolants.
-    Without jumps the raw rungs are already alpha-independent.
-    """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    if np.any(xs < 0.0):
-        raise ValueError("creeping factor requires x >= 0")
-    if model.sigma == 0.0:
-        return np.zeros_like(xs)
-    if not fn.differentiable:
-        raise ValueError("creeping ladder requires a differentiable discount kind")
-    out = np.ones_like(xs)
-    pos = xs > 1e-12
-    if not np.any(pos):
-        return out
-    xp = xs[pos]
-    # 8/x keeps the naive product form decayed; in log space any base works
-    # and the memoryless extrapolation is exact in alpha, so cap the base to
-    # keep the tilted-system rates (and hence cost) bounded
-    alpha = alpha0 if alpha0 is not None else min(8.0 / float(np.max(xp)), 64.0)
-    trace = []
-    prev_raw = None
-    prev_extrap = None
-    result = None
-    for _ in range(max_doublings + 1):
-        raw = np.exp(_tilted_log_bracket(model, fn, u, alpha, xp))
-        if prev_raw is not None:
-            if model.has_jumps:
-                wa = model.phi / (model.phi + alpha / 2.0)
-                wb = model.phi / (model.phi + alpha)
-                extrap = (prev_raw * wb - raw * wa) / (wb - wa)
-            else:
-                extrap = raw.copy()
-            trace.append((alpha, float(np.max(raw)), float(np.max(np.abs(extrap)))))
-            if prev_extrap is not None:
-                scale = np.maximum(np.abs(extrap), 1e-12)
-                if float(np.max(np.abs(extrap - prev_extrap) / scale)) < rel_tol:
-                    result = extrap
-                    break
-            prev_extrap = extrap
-        else:
-            trace.append((alpha, float(np.max(raw)), math.nan))
-        prev_raw = raw
-        alpha *= 2.0
-    if result is None:
-        raise CreepingError("tilt ladder did not stabilise", trace)
-    out[pos] = np.clip(result, 0.0, None)
-    return out
-
-
-def creeping_limit(model: LevyModel, fn: DiscountFn, u: float, x: float,
-                   rel_tol: float = 1e-5, max_doublings: int = 8) -> float:
-    """Creeping factor at a single log-distance x = log(s/u) > 0."""
-    if x <= 0.0:
-        raise ValueError("requires s > u, i.e. x = log(s/u) > 0")
-    return float(creeping_profile(model, fn, u, [x], rel_tol=rel_tol,
-                                  max_doublings=max_doublings)[0])

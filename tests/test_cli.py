@@ -111,6 +111,16 @@ def test_missing_discount_param_rejected(tmp_path):
     assert run(cfg, tmp_path / "o", quiet=True) == EXIT_CONFIG
 
 
+def test_sigma_pos_step_discount_is_config_error(tmp_path):
+    # sigma > 0 jump models price only differentiable rates
+    cfg = load_config(overrides={
+        "model": {"sigma": 0.2, "lam": 6.0, "phi": 2.0, "r": 0.05},
+        "discount": {"kind": "step", "r": 0.05, "rho": 0.02, "y": 15.0}})
+    assert run(cfg, tmp_path, quiet=True) == EXIT_CONFIG
+    summary = _read_summary(tmp_path / "summary.txt")
+    assert "differentiable" in summary["error"]
+
+
 def test_scale_task_dumps_table(tmp_path):
     cfg = load_config(preset="crash_linear")
     cfg["task"]["task"] = "scale"

@@ -3,7 +3,6 @@ import pytest
 
 from omega_pricer import (
     Constant,
-    LevyModel,
     Linear,
     LogArea,
     Rational,
@@ -72,21 +71,11 @@ def test_shift_tilt_linear_at_zero():
         assert xi(0.0) == pytest.approx(0.1 * u, rel=1e-14)
 
 
-def test_shift_tilt_constant_cancellation():
-    # psi(1) = r for the calibrated model, so tilting by alpha=1 kills omega=r
-    model = LevyModel.calibrated(r=0.05, sigma=0.2, lam=6.0, phi=2.0)
-    xi = shift_tilt(Constant(0.05), 2.0, model, alpha=1.0)
-    xs = np.linspace(0.0, 3.0, 17)
-    assert np.max(np.abs(xi(xs))) < 1e-14
-
-
-def test_shift_tilt_validation(bs_model):
+def test_shift_tilt_validation():
     with pytest.raises(ValueError):
         shift_tilt(Constant(0.05), -1.0)
     with pytest.raises(ValueError):
-        shift_tilt(Constant(0.05), 1.0, bs_model, alpha=-0.5)
-    with pytest.raises(ValueError):
-        shift_tilt(Constant(0.05), 1.0, None, alpha=1.0)
+        shift_tilt(Constant(0.05), 0.0)
 
 
 def test_flat_below_one_constant():

@@ -1,11 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from omega_pricer import LevyModel, martingale_drift
+from omega_pricer import Constant, LevyModel, martingale_drift
 from omega_pricer.levy import (
-    esscher_tilt,
     laplace_exponent,
     laplace_exponent_deriv,
     phi_right_inverse,
@@ -109,39 +106,19 @@ def test_psi_roots_degenerate_collision_rejected():
         psi_roots(m)
 
 
-def test_esscher_zero_is_identity(crash_model_sigma):
-    assert esscher_tilt(crash_model_sigma, 0.0) is crash_model_sigma
-
-
-def test_esscher_parameter_map():
-    # sigma=0.2, zeta=0.03 (mu=0.05), lam=6, phi=2, alpha=1
-    m = LevyModel(mu=0.05, sigma=0.2, lam=6.0, phi=2.0)
-    t = esscher_tilt(m, 1.0)
-    assert t.zeta == pytest.approx(0.07, abs=1e-14)
-    assert t.lam == pytest.approx(4.0, rel=1e-14)
-    assert t.phi == pytest.approx(3.0, rel=1e-14)
-    assert t.sigma == m.sigma
-
-
 def test_esscher_laplace_identity(crash_model_sigma):
-    alpha = 0.7
-    t = esscher_tilt(crash_model_sigma, alpha)
-    base = laplace_exponent(crash_model_sigma, alpha)
-    for theta in np.linspace(0.0, 5.0, 11):
-        lhs = laplace_exponent(t, theta)
-        rhs = laplace_exponent(crash_model_sigma, theta + alpha) - base
+    """The dual model of the put-call transform is the unit Esscher tilt of
+    the reflected process: its exponent is psi(1 - theta) - psi(1)."""
+    from omega_pricer.pricer import Boundaries, PricingProblem, putcall_transform
+
+    m = crash_model_sigma
+    pb = PricingProblem(m, Constant(0.06), 20.0, "call")
+    d = putcall_transform(pb, 18.0, Boundaries(30.0, 50.0))
+    for theta in np.linspace(-2.0, 2.5, 10):
+        lhs = (d.drift * theta + 0.5 * d.sigma ** 2 * theta * theta
+               + d.jump_rate * theta / (d.jump_decay - theta))
+        rhs = laplace_exponent(m, 1.0 - theta) - laplace_exponent(m, 1.0)
         assert abs(lhs - rhs) < 1e-12
-
-
-@settings(max_examples=50, deadline=None)
-@given(a=st.floats(0.0, 3.0), b=st.floats(0.0, 3.0))
-def test_esscher_composes(a, b):
-    m = LevyModel.calibrated(r=0.05, sigma=0.2, lam=6.0, phi=2.0)
-    one = esscher_tilt(esscher_tilt(m, a), b)
-    two = esscher_tilt(m, a + b)
-    assert one.mu == pytest.approx(two.mu, abs=1e-12)
-    assert one.lam == pytest.approx(two.lam, abs=1e-12)
-    assert one.phi == pytest.approx(two.phi, abs=1e-12)
 
 
 def test_martingale_drift_crash_example():

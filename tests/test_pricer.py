@@ -130,6 +130,21 @@ def test_rational_curve_dominates_payoff(rational_result):
     assert np.all(v[outside] > payoff[outside] + 1e-9)
 
 
+def test_rational_large_g_uses_generic_anchors():
+    """G >= 1/2 turns the outer 2F1 branch negative (c = 1 - 2G <= 0); the
+    generic anchors price the contract instead."""
+    sigma, big_l, big_g = 0.2, -1.0, 0.6
+    model = LevyModel.black_scholes(mu=(0.5 - big_l) * sigma ** 2, sigma=sigma)
+    c_plus_d = 0.5 * (big_l ** 2 - big_g ** 2) * sigma ** 2
+    pb = PricingProblem(model, Rational(0.3 * c_plus_d, 0.7 * c_plus_d), 20.0)
+    res = optimize_boundaries(pb)
+    assert res.diagnostics["h_route"] == "generic"
+    assert 0.0 < res.l_star < res.u_star < 20.0
+    assert max(res.fit.values()) < 1e-6
+    assert hjb_residual(res, pb)["continuation_sup"] < 1e-3
+    assert np.all(res.values >= np.maximum(20.0 - res.s_grid, 0.0))
+
+
 def test_rational_value_blows_up_near_zero(rational_result):
     # negative discounting near zero makes the put value unbounded as s -> 0+
     v = rational_result.value_fn(np.array([0.05, 0.01]))
@@ -182,6 +197,14 @@ def test_sigma_pos_crash_smooth_fit():
     assert res.fit["derivative_gap_u"] < 5e-3
     s = res.s_grid
     assert np.all(res.values >= np.maximum(20.0 - s, 0.0) - 1e-7)
+
+
+def test_sigma_pos_crash_without_fit_root_raises(crash_model_sigma):
+    """A smooth-fit residual without a sign change on (0.02K, K) is an error,
+    not a silent fallback to the value maximiser."""
+    pb = PricingProblem(crash_model_sigma, Constant(0.01), 20.0)
+    with pytest.raises(RuntimeError):
+        optimize_boundaries(pb)
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,16 @@ import pytest
 
 from omega_pricer import Constant, LevyModel, Linear, LogGrid, Step, shift_tilt
 from omega_pricer.levy import phi_right_inverse, psi_roots, laplace_exponent
+from omega_pricer.pricer import PricingProblem, _CrashValuation, optimize_boundaries
 from omega_pricer.scale import (
-    CreepingError,
     GridTooCoarseError,
     RatioLimitError,
+    RecessiveBasis,
+    _c_limit_by_extension,
+    _ode_coeffs_three_root,
     build_scale_table,
     classical_w,
     classical_z,
-    creeping_limit,
-    creeping_profile,
     ode_solve_crash,
     ode_solve_crash_sigma,
     ratio_limit,
@@ -239,75 +240,85 @@ def test_march_rejects_coarse_grid(crash_model):
         assert err.value.suggested_n > 31
 
 
-def test_esscher_scale_identity(crash_model_sigma):
-    """e^{alpha x} W_alpha^{(xi - psi(alpha))}(x) equals W^{(xi)}(x)."""
-    from omega_pricer.levy import esscher_tilt
-
-    alpha = 0.7
-    fn = Linear(0.1)
-    grid = LogGrid(1.5, 601)
-    xs = grid.nodes()
-    base = build_scale_table(crash_model_sigma, shift_tilt(fn, 2.0), grid)
-    tilted_model = esscher_tilt(crash_model_sigma, alpha)
-    xi_t = shift_tilt(fn, 2.0, crash_model_sigma, alpha)
-    w_t = ode_solve_crash_sigma(tilted_model, xi_t, grid, "W")
-    lifted = np.exp(alpha * xs) * w_t
-    scale = np.maximum(np.abs(base.w), 1e-12)
-    assert np.max(np.abs(lifted - base.w) / scale) < 1e-8
-
-
 def test_creeping_sigma_zero_is_zero(crash_model):
-    assert creeping_limit(crash_model, Linear(0.1), 4.0, 0.5) == 0.0
+    val = _CrashValuation(PricingProblem(crash_model, Linear(0.1), 20.0), 4.0, 8.0)
+    assert np.all(val.passage_split(4.0, [0.0, 0.5])[1] == 0.0)
 
 
-def _creep_closed_form(model, q, x):
+def _passage_closed_form(model, q, x):
+    """Classical total factor Z - (q/Phi) W and creeping factor sigma^2/2 (W' - Phi W)."""
     dec = psi_roots(model, q)
     g = np.array(dec.gammas)
     u = np.array(dec.upsilons)
     big_phi = phi_right_inverse(model, q)
     w = np.exp(g * x) @ u
     wp = np.exp(g * x) @ (u * g)
-    return 0.5 * model.sigma ** 2 * (wp - big_phi * w)
+    total = classical_z(dec, x) - q / big_phi * w
+    return total, 0.5 * model.sigma ** 2 * (wp - big_phi * w)
 
 
-@pytest.mark.parametrize("x", [0.2, 1.0])
-def test_creeping_constant_rate_closed_form(bs_model, crash_model_sigma, x):
-    # classical creeping factor: sigma^2/2 (W^{(q)'} - Phi(q) W^{(q)})
+@pytest.mark.parametrize("x", [1e-5, 0.2, 1.0])
+def test_creeping_constant_rate_closed_form(crash_model_sigma, x):
+    # recessive solutions with (F(0), gbar) = (1, 1) and (1, 0) at u = 1
     q = 0.05
-    for m in (bs_model, crash_model_sigma):
-        got = creeping_limit(m, Constant(q), 1.0, x)
-        want = _creep_closed_form(m, q, x)
-        assert got == pytest.approx(want, rel=1e-6)
-
-
-def test_creeping_small_x_limit(crash_model_sigma):
-    got = creeping_profile(crash_model_sigma, Constant(0.05), 1.0, [1e-5],
-                           alpha0=50.0)
-    assert got[0] == pytest.approx(1.0, rel=1e-2)
-
-
-def test_creeping_ladder_monotone_raw_rungs(crash_model_sigma):
-    """Raw rung values decrease in alpha (the jumped term shrinks)."""
-    from omega_pricer.scale import _tilted_log_bracket
-
-    x = np.array([0.6])
-    raws = [float(np.exp(_tilted_log_bracket(crash_model_sigma, Constant(0.05),
-                                             1.0, a, x))[0])
-            for a in (13.3, 26.7, 53.3)]
-    assert raws[0] > raws[1] > raws[2]
+    val = _CrashValuation(PricingProblem(crash_model_sigma, Constant(q), 20.0), 1.0, 4.0)
+    total, creep = val.passage_split(1.0, [x])
+    want_total, want_creep = _passage_closed_form(crash_model_sigma, q, x)
+    assert total[0] == pytest.approx(want_total, rel=1e-6)
+    assert creep[0] == pytest.approx(want_creep, rel=1e-6)
 
 
 def test_creeping_profile_matches_pointwise(crash_model_sigma):
-    xs = np.array([0.3, 0.8])
-    prof = creeping_profile(crash_model_sigma, Linear(0.1), 4.0, xs)
-    single = creeping_limit(crash_model_sigma, Linear(0.1), 4.0, 0.3)
-    assert prof[0] == pytest.approx(single, rel=1e-4)
-    assert np.all(prof > 0.0) and np.all(prof < 1.0)
+    val = _CrashValuation(PricingProblem(crash_model_sigma, Linear(0.1), 20.0), 4.0, 10.0)
+    total, prof = val.passage_split(4.0, np.array([0.3, 0.8]))
+    single = val.passage_split(4.0, [0.3])[1]
+    assert prof[0] == pytest.approx(single[0], rel=1e-12)
+    assert np.all(prof > 0.0) and np.all(prof < total) and np.all(total < 1.0)
 
 
 def test_creeping_requires_positive_x(crash_model_sigma):
+    val = _CrashValuation(PricingProblem(crash_model_sigma, Constant(0.05), 20.0), 0.5, 4.0)
     with pytest.raises(ValueError):
-        creeping_limit(crash_model_sigma, Constant(0.05), 1.0, -0.5)
+        val.passage_split(1.0, [-0.5])
+
+
+@pytest.mark.parametrize("u", [4.0, 12.0])
+def test_recessive_tail_constant_vs_march(crash_model_sigma, u):
+    """c(u) from [basis | W-data](a, b, c) = Z-data at y = log u against the
+    Richardson-extrapolated extended march (second order in the step)."""
+    fn = Linear(0.1)
+    core = RecessiveBasis(crash_model_sigma, fn, 0.4, 44.0)
+    xi = shift_tilt(fn, u)
+    _, w_init, z_init = _ode_coeffs_three_root(crash_model_sigma, xi)
+    c_core = np.linalg.solve(np.column_stack([core.basis(np.log(u)), w_init]), z_init)[2]
+    dec = psi_roots(crash_model_sigma)
+    c1, c2 = (_c_limit_by_extension(dec, xi, LogGrid(3.0, n), rel_tol=1e-7)
+              for n in (1201, 2401))
+    assert c_core == pytest.approx(c2 + (c2 - c1) / 3.0, abs=2e-6)
+
+
+def test_recessive_constants_self_convergence(crash_model_sigma, monkeypatch):
+    """The production integration constants against a tenfold tighter
+    tolerance and a doubled start margin on the sigma = 0.2 crash contract."""
+    import omega_pricer.scale as scale
+
+    pb = PricingProblem(crash_model_sigma, Linear(0.1), 20.0)
+    base = optimize_boundaries(pb, n_curve=128)
+    monkeypatch.setattr(scale, "_CORE_RTOL", scale._CORE_RTOL / 10.0)
+    monkeypatch.setattr(scale, "_CORE_MARGIN", scale._CORE_MARGIN * 2.0)
+    tight = optimize_boundaries(pb, n_curve=128)
+    assert abs(tight.u_star - base.u_star) < 1e-6
+    above = base.s_grid > max(base.u_star, tight.u_star)
+    rel = np.abs(base.values[above] / tight.values[above] - 1.0)
+    assert float(np.max(rel)) < 2e-4
+
+
+def test_recessive_basis_rejects_out_of_range(crash_model):
+    core = RecessiveBasis(crash_model, Linear(0.1), 1.0, 10.0)
+    with pytest.raises(ValueError):
+        core.basis(np.log(20.0))
+    with pytest.raises(ValueError):
+        RecessiveBasis(crash_model, Step(0.05, 0.02, 1.5), 1.0, 10.0)
 
 
 def test_build_scale_table_with_h_requires_level(crash_model):
