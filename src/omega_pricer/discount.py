@@ -1,7 +1,9 @@
 """Discount functions omega(s) and their log-coordinate transforms.
 
 The pricing formulas work with the log-coordinate view eta(x) = omega(e^x)
-and its level-shifted variants eta_u(x) = omega(u e^x).
+and its level-shifted variants eta_u(x) = omega(u e^x).  They read the rate
+only, never its slope, so kinked and discontinuous kinds (log-area, step,
+tabulated) enter exactly like smooth ones.
 """
 
 from __future__ import annotations
@@ -33,10 +35,6 @@ class DiscountFn:
     def __call__(self, s):
         raise NotImplementedError
 
-    def deriv(self, s):
-        """d omega/ds, or raise if the kind is not differentiable."""
-        raise NotImplementedError(f"{self.kind} discount has no derivative")
-
     @property
     def lower_bound(self) -> float:
         raise NotImplementedError
@@ -45,10 +43,6 @@ class DiscountFn:
     def is_nonnegative(self) -> bool:
         """True when omega >= 0 everywhere (lets the pricer fix l* = 0)."""
         return self.lower_bound >= 0.0
-
-    @property
-    def differentiable(self) -> bool:
-        return True
 
     def params(self) -> dict:
         """Flat parameter dict for config echo."""
@@ -63,10 +57,6 @@ class Constant(DiscountFn):
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
         return np.full_like(s, self.r) if s.ndim else self.r
-
-    def deriv(self, s):
-        s = np.asarray(s, dtype=float)
-        return np.zeros_like(s) if s.ndim else 0.0
 
     @property
     def lower_bound(self) -> float:
@@ -99,10 +89,6 @@ class Step(DiscountFn):
         return out if s.ndim else float(out)
 
     @property
-    def differentiable(self) -> bool:
-        return False
-
-    @property
     def lower_bound(self) -> float:
         return min(self.r, self.r + self.rho)
 
@@ -121,10 +107,6 @@ class Linear(DiscountFn):
         s = np.asarray(s, dtype=float)
         out = self.C * s
         return out if s.ndim else float(out)
-
-    def deriv(self, s):
-        s = np.asarray(s, dtype=float)
-        return np.full_like(s, self.C) if s.ndim else self.C
 
     @property
     def lower_bound(self) -> float:
@@ -145,11 +127,6 @@ class Rational(DiscountFn):
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
         out = -self.C / (s + 1.0) - self.D
-        return out if s.ndim else float(out)
-
-    def deriv(self, s):
-        s = np.asarray(s, dtype=float)
-        out = self.C / (s + 1.0) ** 2
         return out if s.ndim else float(out)
 
     @property
@@ -174,11 +151,6 @@ class LogArea(DiscountFn):
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
         out = np.maximum(np.log(s) - np.log(self.K), 0.0)
-        return out if s.ndim else float(out)
-
-    def deriv(self, s):
-        s = np.asarray(s, dtype=float)
-        out = np.where(s > self.K, 1.0 / s, 0.0)
         return out if s.ndim else float(out)
 
     @property
@@ -221,10 +193,6 @@ class Tabulated(DiscountFn):
         return out if s.ndim else float(out)
 
     @property
-    def differentiable(self) -> bool:
-        return False
-
-    @property
     def lower_bound(self) -> float:
         return float(np.min(self._ws))
 
@@ -244,17 +212,6 @@ class LogDiscount:
         s = np.exp(x + self.shift)
         out = self.base(s)
         return out if x.ndim else float(out)
-
-    def deriv(self, x):
-        """d/dx omega(u e^x) = omega'(s) * s at s = u e^x."""
-        x = np.asarray(x, dtype=float)
-        s = np.exp(x + self.shift)
-        out = self.base.deriv(s) * s
-        return out if x.ndim else float(out)
-
-    @property
-    def differentiable(self) -> bool:
-        return self.base.differentiable
 
 
 def shift_tilt(fn: DiscountFn, u: float) -> LogDiscount:

@@ -6,11 +6,10 @@ Three analytic routes cover the supported model/discount combinations:
   equation sigma^2 s^2/2 h'' + mu s h' - omega(s) h = 0 (an inner branch
   used below the stopping interval and an outer branch above it).
 * Exponential-jump models with nonnegative discounts stop on [0, u*].  Above
-  u the value is a recessive solution of the scale ODE, fixed by the
-  generator equation at u+ (memoryless overshoot average) and, when
+  u the value is a recessive solution of the renewal state system, fixed by
+  the generator equation at u+ (memoryless overshoot average) and, when
   sigma > 0, by continuity at u; one scale.RecessiveBasis per problem serves
-  every barrier.  Step and tabulated rates (sigma = 0 only) price through
-  the renewal down-passage factor Z - c W instead.
+  every barrier and every rate kind.
 * Exponential-jump models whose discount is negative near zero admit a
   two-sided stopping interval priced through the H-function below and the
   same down-passage and creeping factors above.
@@ -31,16 +30,7 @@ from scipy.optimize import brentq, minimize_scalar
 
 from .discount import DiscountFn, Rational, check_flat_below_one, shift_tilt
 from .levy import LevyModel, laplace_exponent, psi_roots
-from .scale import (
-    LogGrid,
-    RecessiveBasis,
-    _c_limit_by_extension,
-    build_scale_table,
-    phi_ext,
-    renewal_solve_h,
-    renewal_solve_w,
-    renewal_solve_z,
-)
+from .scale import LogGrid, RecessiveBasis, build_scale_table, phi_ext, renewal_solve_h
 from .specfun import gauss_2f1, gauss_2f1_deriv
 
 __all__ = [
@@ -314,36 +304,15 @@ def _default_s_range(problem: PricingProblem, b: Optional[Boundaries] = None) ->
 class _CrashValuation:
     """Down-passage data for the jump value, shared by every barrier u.
 
-    Differentiable rates price from one RecessiveBasis of the scale ODE on
-    [s_lo, s_hi]: for s > u the value is the recessive solution that meets the
-    generator equation at s = u+ (and, when sigma > 0, continuity at u).  Step
-    and tabulated rates keep the renewal march with its extrapolated tail
-    constant c(u) (sigma = 0 only; x_max and n size its grids).
+    One RecessiveBasis of the renewal state system on [s_lo, s_hi] serves
+    every rate kind and sigma: for s > u the value is the recessive solution
+    that meets the generator equation at s = u+ (and, when sigma > 0,
+    continuity at u).
     """
 
-    def __init__(self, problem: PricingProblem, s_lo: float, s_hi: float,
-                 x_max: float = 3.0, n: int = 1537):
-        model, omega = problem.model, problem.omega
-        if not model.has_jumps:
-            raise ValueError("requires an exponential-jump model")
-        if model.sigma > 0.0 and not omega.differentiable:
-            raise ValueError(f"sigma > 0 jump models need a differentiable discount; "
-                             f"{omega.kind} rates are supported for sigma = 0 only")
+    def __init__(self, problem: PricingProblem, s_lo: float, s_hi: float):
         self.problem = problem
-        self.x_max = x_max
-        self.n = n
-        self._c_cache: dict = {}
-        self.core = RecessiveBasis(model, omega, s_lo, s_hi) if omega.differentiable else None
-
-    def c_of(self, u: float) -> float:
-        """Tail constant lim Z/W of the renewal tables at barrier u."""
-        key = round(u, 12)
-        if key not in self._c_cache:
-            xi = shift_tilt(self.problem.omega, u)
-            dec = psi_roots(self.problem.model)
-            self._c_cache[key] = _c_limit_by_extension(
-                dec, xi, LogGrid(min(self.x_max, 3.0), 1201), rel_tol=1e-7)
-        return self._c_cache[key]
+        self.core = RecessiveBasis(problem.model, problem.omega, s_lo, s_hi)
 
     def _coef(self, u: float, f0: float, gbar: float) -> tuple:
         """Basis at log u and coefficients of the recessive F with, at s = u+,
@@ -361,25 +330,12 @@ class _CrashValuation:
 
     def passage_split(self, u: float, x: np.ndarray) -> tuple:
         """(total down-passage factor, creeping part) at log-distances x >= 0."""
-        model = self.problem.model
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        creep = np.zeros_like(x)
-        if self.core is not None:
-            y = math.log(u) + x
-            total = self.core.evaluate(math.log(u), self._coef(u, 1.0, 1.0)[1], y)
-            if model.sigma > 0.0:
-                creep = self.core.evaluate(math.log(u), self._coef(u, 1.0, 0.0)[1], y)
-            return total, creep
-        key = ("tab", round(u, 12))
-        if key not in self._c_cache:
-            xi = shift_tilt(self.problem.omega, u)
-            dec = psi_roots(model)
-            grid = LogGrid(max(self.x_max, float(np.max(x)) + 0.1), self.n)
-            wv = renewal_solve_w(dec, xi, grid)
-            zv = renewal_solve_z(dec, xi, grid)
-            self._c_cache[key] = (grid.nodes(), zv - self.c_of(u) * wv)
-        nodes, tot = self._c_cache[key]
-        return np.interp(x, nodes, tot), creep
+        y = math.log(u) + np.atleast_1d(np.asarray(x, dtype=float))
+        total = self.core.evaluate(math.log(u), self._coef(u, 1.0, 1.0)[1], y)
+        creep = np.zeros_like(total)
+        if self.problem.model.sigma > 0.0:
+            creep = self.core.evaluate(math.log(u), self._coef(u, 1.0, 0.0)[1], y)
+        return total, creep
 
     def fit_gap(self, u: float) -> float:
         """Fit residual at barrier u: V(u+) - (K - u) for sigma = 0 (continuous
@@ -387,8 +343,6 @@ class _CrashValuation:
         K = self.problem.strike
         model = self.problem.model
         gbar = K - u * model.phi / (model.phi + 1.0)
-        if self.core is None:  # renewal route, sigma = 0: W(0) = 1/mu
-            return gbar * (1.0 - self.c_of(u) / model.mu) - (K - u)
         basis, coef = self._coef(u, K - u, gbar)
         if model.sigma == 0.0:
             return float(basis[0] @ coef) - (K - u)
@@ -419,9 +373,7 @@ def value_crash_one_sided(problem: PricingProblem, u: float, s,
     if not problem.omega.is_nonnegative:
         raise ValueError("one-sided route requires omega >= 0")
     if valuation is None:
-        s_hi = max(float(np.max(np.atleast_1d(s))), u)
-        x_need = max(3.0, math.log(max(s_hi, 2.0) / u) + 0.5)
-        valuation = _CrashValuation(problem, u, s_hi, x_max=x_need)
+        valuation = _CrashValuation(problem, u, max(float(np.max(np.atleast_1d(s))), u))
     out = valuation.value(u, s)
     return float(out[0]) if np.ndim(s) == 0 else out
 
@@ -454,7 +406,7 @@ class _TwoSidedValuation:
         if self.flat is None:
             raise ValueError("two-sided route requires omega constant on (0, 1]")
         K = problem.strike
-        self._crash = _CrashValuation(problem, 0.02 * K, 2.2 * K, x_max=x_max, n=n)
+        self._crash = _CrashValuation(problem, 0.02 * K, 2.2 * K)
         self.x_max = x_max
         self.n = n
         self.phi_c = phi_ext(model, self.flat)
@@ -816,8 +768,7 @@ def optimize_boundaries(problem: PricingProblem, n_curve: int = 512) -> PricingR
         if model.sigma == 0.0 and model.mu <= 0.0:
             raise ValueError("finite-variation model needs positive drift")
         if omega.is_nonnegative:
-            x_need = math.log(2.2 * K / (0.01 * K))
-            val = _CrashValuation(problem, 0.02 * K, 2.2 * K, x_max=x_need)
+            val = _CrashValuation(problem, 0.02 * K, 2.2 * K)
             u_star = _crash_fit_root(problem, val)
             diagnostics["fit_condition"] = "continuous" if model.sigma == 0.0 else "smooth"
             bounds = Boundaries(0.0, u_star)

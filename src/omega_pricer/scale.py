@@ -1,20 +1,25 @@
-"""State-dependent-rate scale functions on uniform log grids.
+"""State-dependent-rate scale functions of exponential-jump models.
 
-The W/Z/H-type scale functions solve Volterra renewal equations whose kernel
-is the classical zero scale function, a short sum of exponentials for the
-supported models.  The solver exploits that structure: each kernel exponential
-is convolved exactly against a piecewise-linear interpolant of the running
-solution (product integration), giving an explicit O(n) forward march per
-table with no stiffness penalty from fast kernel components.  Tail ratios
-(Z/W limits) are extrapolated from extended runs with Aitken acceleration.
+The W/Z/H-type scale functions solve Volterra renewal equations
+u(x) = f(x) + int_0^x W(x-z) rate(z) u(z) dz whose kernel is the classical
+zero scale function W(x) = sum_i ups_i e^{gamma_i x}, a short sum of
+exponentials for the supported models.  Two solvers use that structure:
 
-For continuously differentiable rate functions the scale functions also
-solve linear ODEs whose coefficients depend only on the absolute log-price
-y = log s.  Forward integration of these ODEs cross-validates the march, and
-`RecessiveBasis` integrates their recessive (decaying in s) solutions once,
-backward in y, so that a single object serves every barrier level: the
-one-sided jump value, the passage factor Z - c W and its creeping part are
-all recessive solutions fixed by conditions at y = log u.
+* The march convolves each kernel exponential exactly against a
+  piecewise-linear interpolant of the running solution (product
+  integration), an explicit O(n) forward march per table with no stiffness
+  penalty from fast kernel components; tail ratios (Z/W limits) are
+  extrapolated from extended runs with Aitken acceleration.  It tables H,
+  serves the CLI `scale` task and cross-checks the state system.
+* The running convolutions of the march are the components of the state
+  P, u = ups . P, of the linear system P' = (diag(gamma) + rate 1 ups^T) P.
+  The system reads the rate only, never its slope, so step and tabulated
+  rates integrate like smooth ones, and in absolute log-price y = log s it
+  depends on no barrier.  `RecessiveBasis` integrates its recessive
+  (decaying in s) solutions once, backward in y, so a single object serves
+  every barrier level: the one-sided jump value, the passage factor Z - c W
+  and its creeping part are all recessive solutions fixed by conditions at
+  y = log u.  `ode_solve_crash` integrates it forward from one level.
 """
 
 from __future__ import annotations
@@ -26,16 +31,12 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .discount import DiscountFn, LogDiscount, Tabulated, shift_tilt
+from .discount import DiscountFn, LogDiscount, Tabulated
 from .levy import LevyModel, RootDecomposition, phi_right_inverse, psi_roots
 
 try:
     from numba import njit
-
-    _HAVE_NUMBA = True
 except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
     def njit(*args, **kwargs):  # type: ignore[misc]
         if args and callable(args[0]):
             return args[0]
@@ -400,113 +401,36 @@ def phi_ext(model: LevyModel, c: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# ODE routes
+# Renewal state system
 # ---------------------------------------------------------------------------
-
-def _split_zero_root(model_or_dec):
-    dec = model_or_dec if isinstance(model_or_dec, RootDecomposition) \
-        else psi_roots(model_or_dec)
-    gs = list(dec.gammas)
-    us = list(dec.upsilons)
-    i0 = min(range(len(gs)), key=lambda i: abs(gs[i]))
-    if abs(gs[i0]) > 1e-10:
-        raise ValueError("zero root missing from decomposition")
-    rest = [(gs[i], us[i]) for i in range(len(gs)) if i != i0]
-    return (gs[i0], us[i0]), rest
-
-
-def _ode_coeffs_two_root(model: LevyModel, xi: LogDiscount):
-    """Coefficients for u'' = a1 u' + a0 u when W has two exponential terms."""
-    (_, u1), rest = _split_zero_root(model)
-    if len(rest) != 1:
-        raise ValueError("two-root route needs sigma = 0 or lam = 0")
-    (g2, u2), = rest
-    usum = u1 + u2
-
-    def coeffs(x):
-        q = float(xi(x))
-        qp = float(xi.deriv(x))
-        return usum * q + g2, usum * qp - g2 * u1 * q
-
-    w_init = (usum, usum * usum * float(xi(0.0)) + u2 * g2)
-    z_init = (1.0, usum * float(xi(0.0)))
-    return coeffs, w_init, z_init
-
-
-def _ode_coeffs_three_root(model: LevyModel, xi: LogDiscount):
-    """Coefficients for u''' = a2 u'' + a1 u' + a0 u (sigma > 0 with jumps)."""
-    (_, u1), rest = _split_zero_root(model)
-    if len(rest) != 2:
-        raise ValueError("three-root route needs sigma > 0 and jumps")
-    (ga, ua), (gb, ub) = rest  # labelling of the nonzero roots is immaterial
-
-    def coeffs(x):
-        q = float(xi(x))
-        qp = float(xi.deriv(x))
-        a2 = ga + gb
-        a1 = ua * (ga - gb) * q - ga * gb - gb * u1 * q
-        a0 = ua * (ga - gb) * qp + ga * gb * u1 * q - gb * u1 * qp
-        return a2, a1, a0
-
-    w_init = (0.0, ua * ga + ub * gb, ua * ga * ga + ub * gb * gb)
-    z_init = (1.0, 0.0, (ua * (ga - gb) - gb * u1) * float(xi(0.0)))
-    return coeffs, w_init, z_init
-
-
-def _require_differentiable(xi: LogDiscount):
-    if not xi.differentiable:
-        raise ValueError("xi must be continuously differentiable; use the renewal solver")
-
 
 def ode_solve_crash(model: LevyModel, xi: LogDiscount, grid: LogGrid,
                     which: str = "W") -> np.ndarray:
-    """Second-order ODE route for models whose kernel has two exponential terms.
+    """W- or Z-type table by forward integration of the renewal state system.
 
-    Covers sigma = 0 jump models (the primary use) and pure Brownian models.
+    With W(x) = sum_i ups_i e^{gamma_i x} (q = 0) the table is ups . P for
+    P' = (diag(gamma) + xi(x) 1 ups^T) P, started from P = 1 (W) or from
+    e_i0 / ups_i0 (Z, i0 the zero root).  Serves every model and rate kind.
     """
-    _require_differentiable(xi)
-    coeffs, w_init, z_init = _ode_coeffs_two_root(model, xi)
+    dec = psi_roots(model)
+    g = np.asarray(dec.gammas)
+    ups = np.asarray(dec.upsilons)
     if which == "W":
-        y0 = list(w_init)
+        p0 = np.ones_like(g)
     elif which == "Z":
-        y0 = list(z_init)
+        i0 = int(np.argmin(np.abs(g)))
+        p0 = np.zeros_like(g)
+        p0[i0] = 1.0 / ups[i0]
     else:
         raise ValueError("which must be 'W' or 'Z'")
-
-    def rhs(x, y):
-        a1, a0 = coeffs(x)
-        return [y[1], a1 * y[1] + a0 * y[0]]
-
-    sol = solve_ivp(rhs, (0.0, grid.x_max), y0, t_eval=grid.nodes(),
-                    method="DOP853", rtol=1e-11, atol=1e-12)
+    sol = solve_ivp(lambda x, p: g * p + float(xi(x)) * (ups @ p), (0.0, grid.x_max), p0,
+                    t_eval=grid.nodes(), method="DOP853", rtol=1e-11, atol=1e-12)
     if not sol.success:
         raise RuntimeError(f"ODE integration failed: {sol.message}")
-    return sol.y[0]
+    return ups @ sol.y
 
 
-def ode_solve_crash_sigma(model: LevyModel, xi: LogDiscount, grid: LogGrid,
-                          which: str = "W") -> np.ndarray:
-    """Third-order ODE route for sigma > 0 jump models with differentiable xi."""
-    if model.sigma <= 0.0 or not model.has_jumps:
-        raise ValueError("requires sigma > 0 and jumps")
-    _require_differentiable(xi)
-    coeffs, w_init, z_init = _ode_coeffs_three_root(model, xi)
-    if which == "W":
-        y0 = list(w_init)
-    elif which == "Z":
-        y0 = list(z_init)
-    else:
-        raise ValueError("which must be 'W' or 'Z'")
-
-    def rhs(x, y):
-        a2, a1, a0 = coeffs(x)
-        return [y[1], y[2], a2 * y[2] + a1 * y[1] + a0 * y[0]]
-
-    sol = solve_ivp(rhs, (0.0, grid.x_max), y0, t_eval=grid.nodes(),
-                    method="DOP853", rtol=1e-11, atol=1e-12)
-    if not sol.success:
-        raise RuntimeError(f"ODE integration failed: {sol.message}")
-    return sol.y[0]
+ode_solve_crash_sigma = ode_solve_crash
 
 
 # Integration constants of RecessiveBasis, fixed by the self-convergence test
@@ -518,19 +442,20 @@ _CORE_MARGIN = 3.0   # start this far above log(s_hi) so the start error decays 
 
 
 class RecessiveBasis:
-    """Recessive solutions of the scale ODE of (model, omega) on [s_lo, s_hi].
+    """Recessive solutions of the scale equation of (model, omega) on [s_lo, s_hi].
 
-    In absolute log-price y = log s the scale ODE of an exponential-jump
-    model has order n = 2 (sigma = 0) or n = 3 (sigma > 0), with coefficients
-    that do not depend on any barrier.  One solution dominates as s -> infinity
-    (like s^Phi(q) where the rate tends to q); the n - 1 dimensional subspace
-    of the others (the recessive solutions) holds every passage factor.  The
-    subspace is integrated once, backward in y from the frozen-coefficient
-    recessive eigenvectors at log(s_hi) + margin, in chunks re-orthonormalised
-    by QR (continuous orthonormalisation, Conte 1966) so the basis never loses
-    rank.  Each chunk keeps its dense output and its R factor, so a recessive
-    solution given by its coefficients at one level is known at every level
-    above it.
+    In absolute log-price y = log s every scale function of an exponential-jump
+    model is F = ups . P for the renewal state P' = (diag(gamma) + omega(e^y)
+    1 ups^T) P, with m = 2 roots for sigma = 0 and m = 3 for sigma > 0; the
+    system reads omega only, not its slope, and depends on no barrier.  One
+    solution dominates as s -> infinity (like s^Phi(q) where the rate tends to
+    q); the m - 1 dimensional subspace of the others (the recessive solutions)
+    holds every passage factor.  The subspace is integrated once, backward in y
+    from the frozen-coefficient recessive eigenvectors at log(s_hi) + margin, in
+    chunks re-orthonormalised by QR (continuous orthonormalisation, Conte 1966)
+    so the basis never loses rank.  Each chunk keeps its dense output and its R
+    factor, so a recessive solution given by its coefficients at one level is
+    known at every level above it.
     """
 
     def __init__(self, model: LevyModel, fn: DiscountFn, s_lo: float, s_hi: float):
@@ -538,33 +463,31 @@ class RecessiveBasis:
             raise ValueError("recessive basis requires an exponential-jump model")
         if not 0.0 < s_lo <= s_hi:
             raise ValueError("need 0 < s_lo <= s_hi")
-        xi = shift_tilt(fn, 1.0)
-        _require_differentiable(xi)
-        n = 3 if model.sigma > 0.0 else 2
-        m = n - 1
-        coeffs = (_ode_coeffs_three_root if n == 3 else _ode_coeffs_two_root)(model, xi)[0]
-        self.order = n
+        dec = psi_roots(model)
+        g = np.asarray(dec.gammas)
+        ups = np.asarray(dec.upsilons)
+        m = self.order = len(g)
+        self.fn, self.gammas, self.upsilons = fn, g, ups
         self.y_lo = math.log(s_lo)
         self.y_top = math.log(s_hi)
 
         def rhs(y, v):
-            basis = v.reshape(n, m)
-            last = np.asarray(coeffs(y)[::-1]) @ basis  # a0 F + a1 F' (+ a2 F'')
-            return np.vstack([basis[1:], last]).ravel()
+            p = v.reshape(m, m - 1)
+            return (g[:, None] * p + fn(math.exp(y)) * (ups @ p)).ravel()
 
         y_hi = self.y_top + _CORE_MARGIN
-        companion = np.eye(n, k=1)
-        companion[-1] = coeffs(y_hi)[::-1]
-        lam, vec = np.linalg.eig(companion)
+        frozen = np.diag(g) + float(fn(math.exp(y_hi))) * np.outer(np.ones(m), ups)
+        lam, vec = np.linalg.eig(frozen)
         by_re = np.argsort(lam.real)
-        # the dominant mode continues Phi(q), the largest root of psi = q; it
-        # must be separated from the rest (it decays itself when q < 0)
+        # the frozen exponents are the roots of psi = omega(e^y_hi); the dominant
+        # one continues Phi(q) and must be separated from the rest (it decays
+        # itself when q < 0)
         if not lam[by_re[-1]].real > lam[by_re[-2]].real:
             raise RuntimeError(f"no separated dominant mode at s = {math.exp(y_hi):.4g}: "
                                f"frozen exponents {lam}")
-        rec = vec[:, by_re[:m]]
+        rec = vec[:, by_re[:m - 1]]
         # real and imaginary parts span the same real subspace as a conjugate pair
-        q = np.linalg.svd(np.hstack([rec.real, rec.imag]))[0][:, :m]
+        q = np.linalg.svd(np.hstack([rec.real, rec.imag]))[0][:, :m - 1]
         n_chunks = max(1, int(math.ceil((y_hi - self.y_lo) / _CORE_CHUNK)))
         self._edges = np.linspace(y_hi, self.y_lo, n_chunks + 1)
         self._dense = []
@@ -575,7 +498,7 @@ class RecessiveBasis:
             if not sol.success:
                 raise RuntimeError(f"recessive basis integration failed near "
                                    f"s = {math.exp(sol.t[-1]):.4g}: {sol.message}")
-            q, r = np.linalg.qr(sol.y[:, -1].reshape(n, m))
+            q, r = np.linalg.qr(sol.y[:, -1].reshape(m, m - 1))
             self._dense.append(sol.sol)
             self._r.append(r)
 
@@ -587,9 +510,24 @@ class RecessiveBasis:
         k = np.searchsorted(-self._edges, -y, side="right") - 1
         return np.clip(k, 0, len(self._dense) - 1)
 
-    def basis(self, y: float) -> np.ndarray:
-        """n x (n-1) matrix of (F, F', ...) at y for the basis of y's chunk."""
+    def state(self, y: float) -> np.ndarray:
+        """m x (m-1) matrix of the states P at y for the basis of y's chunk."""
         return self._dense[int(self._chunk(y))](y).reshape(self.order, -1)
+
+    def basis(self, y: float) -> np.ndarray:
+        """m x (m-1) matrix of (F, F', ...) at y+ for the basis of y's chunk.
+
+        F' = (ups gamma) . P + omega W(0) F and, for sigma > 0 where W(0) = 0,
+        F'' = (ups gamma^2) . P + omega W'(0+) F, with omega read at e^y.
+        """
+        p = self.state(y)
+        w = float(self.fn(math.exp(y)))
+        ug = self.upsilons * self.gammas
+        f = self.upsilons @ p
+        jet = [f, ug @ p + w * self.upsilons.sum() * f]
+        if self.order == 3:
+            jet.append((ug * self.gammas) @ p + w * ug.sum() * f)
+        return np.array(jet)
 
     def evaluate(self, y0: float, coef, ys) -> np.ndarray:
         """F(ys) at ys >= y0 for the recessive solution F(y0) = basis(y0) @ coef.
@@ -609,7 +547,8 @@ class RecessiveBasis:
                 c = np.linalg.solve(self._r[k], c)
             sel = ks == k
             if np.any(sel):
-                out[sel] = self._dense[k](ys[sel])[:self.order - 1].T @ c
+                p = self._dense[k](ys[sel]).reshape(self.order, self.order - 1, -1)
+                out[sel] = np.tensordot(self.upsilons, p, 1).T @ c
         return out
 
 
@@ -646,13 +585,8 @@ def build_scale_table(model: LevyModel, xi: LogDiscount, grid: LogGrid, *,
                       want_w2: bool = False, c_rel_tol: float = 1e-6) -> ScaleTable:
     """W/Z tables plus the tail-ratio constant; optional H and two-argument W."""
     dec = psi_roots(model)
-    if xi.differentiable and model.has_jumps:
-        solver = ode_solve_crash if model.sigma == 0.0 else ode_solve_crash_sigma
-        w = solver(model, xi, grid, "W")
-        z = solver(model, xi, grid, "Z")
-    else:
-        w = renewal_solve_w(dec, xi, grid)
-        z = renewal_solve_z(dec, xi, grid)
+    w = renewal_solve_w(dec, xi, grid)
+    z = renewal_solve_z(dec, xi, grid)
     c = _c_limit_by_extension(dec, xi, grid, rel_tol=c_rel_tol)
     hh = None
     if want_h:

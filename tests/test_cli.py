@@ -111,14 +111,26 @@ def test_missing_discount_param_rejected(tmp_path):
     assert run(cfg, tmp_path / "o", quiet=True) == EXIT_CONFIG
 
 
-def test_sigma_pos_step_discount_is_config_error(tmp_path):
-    # sigma > 0 jump models price only differentiable rates
+def test_sigma_pos_step_discount_prices(tmp_path):
+    # a step rate reaches the state system like a smooth one, for sigma > 0 too
     cfg = load_config(overrides={
         "model": {"sigma": 0.2, "lam": 6.0, "phi": 2.0, "r": 0.05},
         "discount": {"kind": "step", "r": 0.05, "rho": 0.02, "y": 15.0}})
+    assert run(cfg, tmp_path, quiet=True) == EXIT_OK
+    summary = _read_summary(tmp_path / "summary.txt")
+    assert 0.0 < float(summary["u_star"]) < 20.0
+    assert float(summary["derivative_gap_u"]) < 1e-4
+
+
+def test_unsupported_combination_is_config_error(tmp_path):
+    # negative near zero without the flat-below-one certificate: no route
+    cfg = load_config(overrides={
+        "model": {"sigma": 0.0, "lam": 6.0, "phi": 2.0, "r": 0.05},
+        "discount": {"kind": "step", "r": -0.02, "rho": 0.12, "y": 0.5,
+                     "direction": "above"}})
     assert run(cfg, tmp_path, quiet=True) == EXIT_CONFIG
     summary = _read_summary(tmp_path / "summary.txt")
-    assert "differentiable" in summary["error"]
+    assert "error" in summary
 
 
 def test_scale_task_dumps_table(tmp_path):

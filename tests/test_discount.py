@@ -103,12 +103,3 @@ def test_nonnegativity_gate():
     assert not Rational(0.001, 0.01).is_nonnegative
     assert not Step(-0.02, 0.12, 1.0).is_nonnegative
 
-
-def test_derivatives():
-    assert Linear(0.1).deriv(3.0) == pytest.approx(0.1)
-    assert Rational(0.2, 0.01).deriv(1.0) == pytest.approx(0.05)
-    with pytest.raises(NotImplementedError):
-        Step(0.05, 0.02, 1.0).deriv(2.0)
-    xi = shift_tilt(Linear(0.1), 2.0)
-    # d/dx omega(u e^x) = C u e^x
-    assert xi.deriv(1.0) == pytest.approx(0.2 * np.e, rel=1e-14)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from omega_pricer import Constant, LevyModel, Linear
+from omega_pricer import Constant, LevyModel, Linear, Step
 from omega_pricer.levy import laplace_exponent
 from omega_pricer.pricer import Boundaries, PricingProblem, optimize_boundaries
 from omega_pricer.mc import (
@@ -122,6 +122,18 @@ def test_stopped_value_crash_vs_analytic(crash_model):
     s0 = 15.0
     analytic = float(res.value_fn(np.array([s0]))[0])
     est = stopped_value(crash_model, Linear(0.1), 20.0, res.boundaries, s0,
+                        50_000, 1e-3, t_max=60.0, seed=4)
+    assert abs(est.mean - analytic) < 3.0 * est.stderr
+    assert abs(est.mean - analytic) / analytic < 0.01
+
+
+def test_stopped_value_sigma_pos_step_vs_analytic(crash_model_sigma):
+    # a discontinuous rate with sigma > 0, priced by the same core as smooth ones
+    fn = Step(0.05, 0.10, y=12.0)
+    res = optimize_boundaries(PricingProblem(crash_model_sigma, fn, 20.0), n_curve=64)
+    s0 = 15.0
+    analytic = float(res.value_fn(np.array([s0]))[0])
+    est = stopped_value(crash_model_sigma, fn, 20.0, res.boundaries, s0,
                         50_000, 1e-3, t_max=60.0, seed=4)
     assert abs(est.mean - analytic) < 3.0 * est.stderr
     assert abs(est.mean - analytic) / analytic < 0.01

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from omega_pricer import Constant, LevyModel, Linear, Rational, Step, shift_tilt
+from omega_pricer import Constant, LevyModel, Linear, Rational, Step, Tabulated, shift_tilt
 from omega_pricer.levy import phi_right_inverse, psi_roots
 from omega_pricer.pricer import (
     Boundaries,
@@ -173,6 +173,29 @@ def test_crash_constant_rate_matches_classical(crash_model):
            * (classical_z(decq, x) - cq * classical_w(decq, x)))
     got = value_crash_one_sided(pb, u, s)
     assert np.max(np.abs(got / ref - 1.0)) < 1e-5
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.2])
+def test_tabulated_linear_equals_linear(sigma):
+    """Piecewise-linear knots of omega = 0.1 s interpolate it exactly, so the
+    tabulated kind must price like Linear(0.1) on its hull [0.01, 1000]."""
+    model = LevyModel.calibrated(r=0.05, sigma=sigma, lam=6.0, phi=2.0)
+    knots = (0.01, 1.0, 10.0, 100.0, 1000.0)
+    tab = optimize_boundaries(PricingProblem(
+        model, Tabulated(knots, tuple(0.1 * k for k in knots)), 20.0), n_curve=64)
+    lin = optimize_boundaries(PricingProblem(model, Linear(0.1), 20.0), n_curve=64)
+    assert tab.u_star == pytest.approx(lin.u_star, rel=1e-9)
+    assert tab.value_fn(30.0)[0] == pytest.approx(lin.value_fn(30.0)[0], rel=1e-9)
+
+
+def test_step_value_beyond_range_raises(crash_model):
+    """The value is defined up to 2.2 K, for step rates as for smooth ones;
+    beyond it the pricer raises instead of clamping to the last node."""
+    res = optimize_boundaries(PricingProblem(crash_model, Step(0.05, 0.10, 30.0), 20.0),
+                              n_curve=64)
+    assert res.value_fn(40.0)[0] > 0.0
+    with pytest.raises(ValueError):
+        res.value_fn(1e3)
 
 
 def test_crash_value_below_u_is_payoff(crash_model):

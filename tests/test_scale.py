@@ -9,7 +9,6 @@ from omega_pricer.scale import (
     RatioLimitError,
     RecessiveBasis,
     _c_limit_by_extension,
-    _ode_coeffs_three_root,
     build_scale_table,
     classical_w,
     classical_z,
@@ -203,12 +202,6 @@ def test_ode_zero_rate_z_is_one(crash_model, crash_model_sigma):
     assert ws[0] == pytest.approx(0.0, abs=1e-13)
 
 
-def test_ode_rejects_nondifferentiable(crash_model):
-    xi = shift_tilt(Step(0.05, 0.02, 1.5), 1.0)
-    with pytest.raises(ValueError):
-        ode_solve_crash(crash_model, xi, LogGrid(1.0, 11))
-
-
 def test_grid_refinement_second_order(crash_model_sigma):
     """Richardson ratio of the renewal march is ~4 under grid halving."""
     dec = psi_roots(crash_model_sigma)
@@ -284,14 +277,16 @@ def test_creeping_requires_positive_x(crash_model_sigma):
 
 @pytest.mark.parametrize("u", [4.0, 12.0])
 def test_recessive_tail_constant_vs_march(crash_model_sigma, u):
-    """c(u) from [basis | W-data](a, b, c) = Z-data at y = log u against the
+    """c(u) from [P-basis | 1](a, b, c) = e_i0 / ups_i0 at y = log u (the W and
+    Z starts of the renewal state, so Z - c W is recessive) against the
     Richardson-extrapolated extended march (second order in the step)."""
     fn = Linear(0.1)
     core = RecessiveBasis(crash_model_sigma, fn, 0.4, 44.0)
-    xi = shift_tilt(fn, u)
-    _, w_init, z_init = _ode_coeffs_three_root(crash_model_sigma, xi)
-    c_core = np.linalg.solve(np.column_stack([core.basis(np.log(u)), w_init]), z_init)[2]
     dec = psi_roots(crash_model_sigma)
+    i0 = int(np.argmin(np.abs(dec.gammas)))
+    z_start = np.eye(3)[i0] / dec.upsilons[i0]
+    c_core = np.linalg.solve(np.column_stack([core.state(np.log(u)), np.ones(3)]), z_start)[2]
+    xi = shift_tilt(fn, u)
     c1, c2 = (_c_limit_by_extension(dec, xi, LogGrid(3.0, n), rel_tol=1e-7)
               for n in (1201, 2401))
     assert c_core == pytest.approx(c2 + (c2 - c1) / 3.0, abs=2e-6)
@@ -318,7 +313,7 @@ def test_recessive_basis_rejects_out_of_range(crash_model):
     with pytest.raises(ValueError):
         core.basis(np.log(20.0))
     with pytest.raises(ValueError):
-        RecessiveBasis(crash_model, Step(0.05, 0.02, 1.5), 1.0, 10.0)
+        core.evaluate(np.log(2.0), [1.0], np.log(0.5))
 
 
 def test_build_scale_table_with_h_requires_level(crash_model):
