@@ -291,6 +291,7 @@ def run(cfg: dict, out_dir: Path, quiet: bool = False) -> int:
             summary["abs_gap_over_stderr"] = f"{abs(est.mean - analytic) / max(est.stderr, 1e-12):.3f}"
             summary["mc_truncation_mass"] = f"{est.truncation_mass:.4g}"
             summary["mc_unreliable"] = est.unreliable
+            summary["mc_path_steps"] = est.path_steps
         elif task == "symmetry":
             if problem.payoff != "call":
                 raise ConfigError("task = symmetry requires payoff = call")
@@ -305,6 +306,7 @@ def run(cfg: dict, out_dir: Path, quiet: bool = False) -> int:
             summary["call_mc"] = f"{lhs.mean:.8g} +- {lhs.stderr:.4g}"
             summary["dual_put_mc"] = f"{rhs.mean:.8g} +- {rhs.stderr:.4g}"
             summary["gap_over_stderr"] = f"{abs(lhs.mean - rhs.mean) / max(comb, 1e-12):.3f}"
+            summary["mc_path_steps"] = lhs.path_steps + rhs.path_steps
         elif task == "bermudan":
             n_dates = 2 ** num["bermudan_xi"]
             res = bermudan_dp(model, omega, problem.strike,

@@ -1,13 +1,19 @@
 """Independent verification engine: path simulation and Bermudan rollback.
 
 Paths are advanced exactly in law: exponential inter-arrival jump times,
-exact Exp(phi) jump sizes, Gaussian increments between events.  Only the
-running discount integral int omega(S) dw is discretised (trapezoid on a
-step grid); barrier crossing is detected by endpoint tests, whose bias is
-quantified through step-refinement rather than corrected by bridge
-sampling.  Steps stretch adaptively far from the barrier and shrink back
-to the base step nearby, which leaves the detection bias at the base-step
-scale while keeping long horizons affordable.
+exact Exp(phi) jump sizes, Gaussian increments between events.  Two things
+are still discretised.  The running discount integral int omega(S) dw is a
+trapezoid on the step grid.  Barrier crossing is detected by endpoint tests,
+whose bias is quantified through step-refinement rather than corrected by
+bridge sampling.  Steps stretch adaptively far from the barrier and shrink
+back to the base step nearby, which leaves the detection bias at the
+base-step scale while keeping long horizons affordable.
+
+The vectorised engine keeps the live paths in compact arrays in path order
+and filters them only on a step where some path stops or reaches the
+horizon.  It carries omega at each path's current point, so a step evaluates
+omega once, at its new end, and again only where a jump moved the path.
+Each estimate reports the number of path-steps it took.
 """
 
 from __future__ import annotations
@@ -21,14 +27,13 @@ from scipy.special import erf as _erf
 
 from .discount import DiscountFn
 from .levy import LevyModel
-from .pricer import Boundaries, DualPutSpec, PricingProblem, putcall_transform
+from .pricer import Boundaries, PricingProblem, putcall_transform
 
 __all__ = [
     "PathSample",
     "McEstimate",
     "simulate_path",
     "stopped_value",
-    "stopped_value_spec",
     "bermudan_dp",
     "bermudan_value_at",
     "symmetry_check",
@@ -54,6 +59,7 @@ class McEstimate:
     n_paths: int
     truncation_mass: float      # bound on the censored-value contribution
     censored_fraction: float
+    path_steps: int             # path-steps the engine advanced
 
     @property
     def unreliable(self) -> bool:
@@ -151,96 +157,116 @@ def _engine(zeta: float, sigma: float, lam: float, phi: float, jumps_up: bool,
             s0: float, n_paths: int, dt: float, t_max: float, seed: int,
             payoff_cap: float = np.inf) -> McEstimate:
     """Vectorised first-entry estimator of E[e^{-int omega} payoff(S_tau)]."""
-    log_l = math.log(l) if l > 0.0 else -math.inf
+    has_l = l > 0.0
+    log_l = math.log(l) if has_l else -math.inf
     log_u = math.log(u)
     x0 = math.log(s0)
     if log_l <= x0 <= log_u:
-        return McEstimate(float(payoff_fn(s0)), 0.0, n_paths, 0.0, 0.0)
+        return McEstimate(float(payoff_fn(s0)), 0.0, n_paths, 0.0, 0.0, 0)
     rng_n = np.random.Generator(np.random.Philox(key=seed))
     rng_j = np.random.Generator(np.random.Philox(key=seed ^ 0x9E3779B97F4A7C15))
+    # live set in path order: log-price, time, discount integral, next jump
+    # time, omega at the current point, path index
     x = np.full(n_paths, x0)
     t = np.zeros(n_paths)
     d = np.zeros(n_paths)
-    t_jump = rng_j.exponential(1.0 / lam, n_paths) if lam > 0.0 \
-        else np.full(n_paths, np.inf)
+    t_jump = rng_j.exponential(1.0 / lam, n_paths) if lam > 0.0 else None
     payoffs = np.zeros(n_paths)
     disc_at_stop = np.zeros(n_paths)
     censored = np.zeros(n_paths, dtype=bool)
-    alive = np.arange(n_paths)
+    path = np.arange(n_paths)
     jump_dir = +1.0 if jumps_up else -1.0
     rate_scale = abs(zeta) + sigma + (lam / phi if lam > 0.0 else 0.0)
     m_disc = max(1.0, 0.02 / (dt * max(rate_scale, 1e-6)))
     m_cap = max(1.0, 0.1 / dt)
+    m_max = min(m_disc, m_cap)
     safety = 8.0
+    # sigma = 0: the barrier the drift runs towards, if it is finite
+    target = math.inf
+    if sigma == 0.0 and zeta != 0.0:
+        target = log_u if zeta < 0.0 else log_l
+    path_steps = 0
 
-    while alive.size:
-        xa = x[alive]
-        ta = t[alive]
-        # step stretching, provably clear of the barrier for diffusive moves
-        if sigma > 0.0:
-            dist = np.abs(xa - log_u)
-            if np.isfinite(log_l):
-                dist = np.minimum(dist, np.abs(xa - log_l))
-            m = np.maximum(1.0, (dist / (safety * sigma)) ** 2 / dt)
-            m = np.minimum(np.minimum(m, m_disc), m_cap)
-        else:
-            m = np.full(xa.shape, min(m_disc, m_cap))
-        dt_i = dt * m
-        if sigma == 0.0 and zeta != 0.0:
-            # cap at the exact deterministic boundary-crossing time
-            target = np.where(zeta < 0.0, log_u, log_l)
-            gap = (target - xa) / zeta
-            hit_ahead = gap > 0.0
-            dt_i = np.where(hit_ahead, np.minimum(dt_i, gap + 1e-14), dt_i)
-        dt_i = np.minimum(dt_i, t_max - ta)
-        tj = t_jump[alive]
-        jumping = tj <= ta + dt_i
-        dt_i = np.where(jumping, tj - ta, dt_i)
-        # diffusion to the segment end (pre-jump position when jumping)
-        if sigma > 0.0:
-            z = rng_n.standard_normal(alive.size)
-            x_pre = xa + zeta * dt_i + sigma * np.sqrt(dt_i) * z
-        else:
-            x_pre = xa + zeta * dt_i
-        with np.errstate(over="ignore"):
-            d_new = d[alive] + 0.5 * (np.asarray(omega_fn(np.exp(xa)), dtype=float)
-                                      + np.asarray(omega_fn(np.exp(x_pre)), dtype=float)) * dt_i
-        t_new = ta + dt_i
-        # endpoint checks at the pre-jump position
-        inside_pre = (x_pre >= log_l) & (x_pre <= log_u)
-        passed_dn = (xa > log_u) & (x_pre < log_l)
-        passed_up = np.isfinite(log_l) & (xa < log_l) & (x_pre > log_u)
-        stopping = inside_pre | passed_dn | passed_up
-        x_new = x_pre.copy()
-        if lam > 0.0:
-            jj = np.where(jumping & ~stopping)[0]
-            if jj.size:
-                sizes = rng_j.exponential(1.0 / phi, jj.size)
-                x_new[jj] = x_pre[jj] + jump_dir * sizes
-                landed = (x_new[jj] >= log_l) & (x_new[jj] <= log_u)
-                stopping[jj[landed]] = True
-            redraws = np.where(jumping)[0]
-            if redraws.size:
-                t_jump[alive[redraws]] = t_new[redraws] \
-                    + rng_j.exponential(1.0 / lam, redraws.size)
-        stop_idx = np.where(stopping)[0]
-        if stop_idx.size:
-            sp = np.where(inside_pre[stop_idx], np.exp(x_pre[stop_idx]),
-                          np.where(passed_dn[stop_idx], u,
-                                   np.where(passed_up[stop_idx], l,
-                                            np.exp(x_new[stop_idx]))))
-            gidx = alive[stop_idx]
-            payoffs[gidx] = np.minimum(payoff_fn(sp), payoff_cap)
-            disc_at_stop[gidx] = d_new[stop_idx]
-        horizon = (~stopping) & (t_new >= t_max - 1e-15)
-        hz = np.where(horizon)[0]
-        if hz.size:
-            censored[alive[hz]] = True
-            disc_at_stop[alive[hz]] = d_new[hz]
-        x[alive] = x_new
-        t[alive] = t_new
-        d[alive] = d_new
-        alive = alive[~(stopping | horizon)]
+    with np.errstate(over="ignore"):
+        w = np.asarray(omega_fn(np.exp(x)), dtype=float)
+        while x.size:
+            path_steps += x.size
+            # step stretching, provably clear of the barrier for diffusive
+            # moves: dt * clip((dist / (safety sigma))^2 / dt, 1, m_max); the
+            # in-place updates here and below keep the operation order of
+            # the written formulas, so the estimates round the same
+            if sigma > 0.0:
+                m = np.abs(x - log_u)
+                if has_l:
+                    np.minimum(m, np.abs(x - log_l), out=m)
+                m /= safety * sigma
+                np.square(m, out=m)
+                m /= dt
+                dt_i = np.clip(m, 1.0, m_max, out=m)
+                dt_i *= dt
+            else:
+                dt_i = np.full(x.size, dt * m_max)
+            if math.isfinite(target):
+                # cap at the exact deterministic boundary-crossing time
+                gap = (target - x) / zeta
+                dt_i = np.where(gap > 0.0, np.minimum(dt_i, gap + 1e-14), dt_i)
+            np.minimum(dt_i, t_max - t, out=dt_i)
+            if lam > 0.0:
+                jumping = np.flatnonzero(t_jump <= t + dt_i)
+                dt_i[jumping] = t_jump[jumping] - t[jumping]
+            # diffusion to the segment end (pre-jump position when jumping):
+            # x + zeta dt + sigma sqrt(dt) z
+            x_new = zeta * dt_i
+            x_new += x
+            if sigma > 0.0:
+                dx = np.sqrt(dt_i)
+                dx *= sigma
+                dx *= rng_n.standard_normal(x.size)
+                x_new += dx
+            # trapezoid d + 0.5 (w + w_new) dt, omega carried from the step start
+            w_new = np.asarray(omega_fn(np.exp(x_new)), dtype=float)
+            d_new = w + w_new
+            d_new *= 0.5
+            d_new *= dt_i
+            d_new += d
+            t_new = t + dt_i
+            # endpoint checks at the pre-jump position
+            if has_l:
+                passed_dn = (x > log_u) & (x_new < log_l)
+                passed_up = (x < log_l) & (x_new > log_u)
+                stopping = (x_new >= log_l) & (x_new <= log_u)
+                stopping |= passed_dn
+                stopping |= passed_up
+            else:
+                stopping = x_new <= log_u
+            if lam > 0.0 and jumping.size:
+                jj = jumping[~stopping[jumping]]
+                if jj.size:
+                    x_new[jj] += jump_dir * rng_j.exponential(1.0 / phi, jj.size)
+                    landed = (x_new[jj] >= log_l) & (x_new[jj] <= log_u)
+                    stopping[jj[landed]] = True
+                    moved = jj[~landed]
+                    w_new[moved] = omega_fn(np.exp(x_new[moved]))
+                t_jump[jumping] = t_new[jumping] \
+                    + rng_j.exponential(1.0 / lam, jumping.size)
+            ending = t_new >= t_max - 1e-15
+            ending |= stopping
+            if not ending.any():
+                x, t, d, w = x_new, t_new, d_new, w_new
+                continue
+            disc_at_stop[path[ending]] = d_new[ending]
+            censored[path[ending & ~stopping]] = True
+            # stopping price: the entry point, or the barrier a step passed
+            sp = np.exp(x_new[stopping])
+            if has_l:
+                sp = np.where(passed_dn[stopping], u,
+                              np.where(passed_up[stopping], l, sp))
+            payoffs[path[stopping]] = np.minimum(payoff_fn(sp), payoff_cap)
+            live = ~ending
+            x, t, d, w = x_new[live], t_new[live], d_new[live], w_new[live]
+            path = path[live]
+            if lam > 0.0:
+                t_jump = t_jump[live]
     with np.errstate(over="ignore", under="ignore"):
         dfac = np.exp(-np.clip(disc_at_stop, -700.0, 700.0))
     vals = np.where(censored, 0.0, dfac * payoffs)
@@ -248,7 +274,8 @@ def _engine(zeta: float, sigma: float, lam: float, phi: float, jumps_up: bool,
     cmass = float(np.mean(np.where(censored, dfac, 0.0))) * cap
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(n_paths))
-    return McEstimate(mean, stderr, n_paths, cmass, float(np.mean(censored)))
+    return McEstimate(mean, stderr, n_paths, cmass, float(np.mean(censored)),
+                      path_steps)
 
 
 def _payoff_bound(payoff_fn, u: float) -> float:
@@ -257,92 +284,16 @@ def _payoff_bound(payoff_fn, u: float) -> float:
         return float(np.max(payoff_fn(probes)))
 
 
-def _engine_antithetic_bs(zeta: float, sigma: float, omega_fn: Callable,
-                          payoff_fn: Callable, l: float, u: float, s0: float,
-                          n_pairs: int, dt: float, t_max: float, seed: int,
-                          payoff_cap: float) -> McEstimate:
-    """Mirrored-pair estimator for diffusion-only models.
-
-    Draws one normal per step for every pair regardless of aliveness, so the
-    two members consume identical randomness with opposite signs.
-    """
-    log_l = math.log(l) if l > 0.0 else -math.inf
-    log_u = math.log(u)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    x = np.full((2, n_pairs), math.log(s0))
-    d = np.zeros((2, n_pairs))
-    payoffs = np.zeros((2, n_pairs))
-    disc_at_stop = np.zeros((2, n_pairs))
-    done = np.zeros((2, n_pairs), dtype=bool)
-    censored = np.zeros((2, n_pairs), dtype=bool)
-    n_steps = int(math.ceil(t_max / dt))
-    sq = sigma * math.sqrt(dt)
-    for _ in range(n_steps):
-        if done.all():
-            break
-        z = rng.standard_normal(n_pairs)
-        for half, sign in ((0, 1.0), (1, -1.0)):
-            live = ~done[half]
-            if not live.any():
-                continue
-            xa = x[half][live]
-            x_new = xa + zeta * dt + sq * sign * z[live]
-            d[half][live] += 0.5 * (np.asarray(omega_fn(np.exp(xa)), dtype=float)
-                                    + np.asarray(omega_fn(np.exp(x_new)), dtype=float)) * dt
-            inside = (x_new >= log_l) & (x_new <= log_u)
-            passed = ((xa > log_u) & (x_new < log_l)) \
-                | (np.isfinite(log_l) & (xa < log_l) & (x_new > log_u))
-            stopping = inside | passed
-            idx = np.where(live)[0]
-            st = idx[stopping]
-            if st.size:
-                sp = np.where(inside[stopping], np.exp(x_new[stopping]),
-                              np.where(x_new[stopping] < log_l, u, l))
-                payoffs[half][st] = np.minimum(payoff_fn(sp), payoff_cap)
-                disc_at_stop[half][st] = d[half][st]
-                done[half][st] = True
-            x[half][idx] = x_new
-    for half in (0, 1):
-        live = ~done[half]
-        censored[half][live] = True
-        disc_at_stop[half][live] = d[half][live]
-    with np.errstate(over="ignore", under="ignore"):
-        dfac = np.exp(-np.clip(disc_at_stop, -700.0, 700.0))
-    vals = np.where(censored, 0.0, dfac * payoffs)
-    pair_means = 0.5 * (vals[0] + vals[1])
-    cmass = float(np.mean(np.where(censored, dfac, 0.0))) * payoff_cap
-    return McEstimate(float(np.mean(pair_means)),
-                      float(np.std(pair_means, ddof=1) / math.sqrt(n_pairs)),
-                      2 * n_pairs, cmass, float(np.mean(censored)))
-
-
 def stopped_value(model: LevyModel, omega: DiscountFn, strike: float,
                   b: Boundaries, s0: float, n_paths: int, dt: float,
-                  t_max: Optional[float] = None, seed: int = 0,
-                  antithetic: bool = False) -> McEstimate:
+                  t_max: Optional[float] = None, seed: int = 0) -> McEstimate:
     """MC estimate of the put value stopped on first entry into [l, u]."""
     if t_max is None:
         t_max = default_t_max(omega, strike)
     payoff = lambda s: np.maximum(strike - s, 0.0)
-    if antithetic:
-        if model.has_jumps:
-            raise NotImplementedError("antithetic pairing is diffusion-only")
-        return _engine_antithetic_bs(model.zeta, model.sigma, omega, payoff,
-                                     b.l, b.u, s0, n_paths // 2, dt, t_max,
-                                     seed, payoff_cap=strike)
     return _engine(model.zeta, model.sigma, model.lam, model.phi, False,
                    omega, payoff, b.l, b.u, s0, n_paths, dt, t_max, seed,
                    payoff_cap=strike)
-
-
-def stopped_value_spec(spec: DualPutSpec, n_paths: int, dt: float,
-                       t_max: float, seed: int = 0) -> McEstimate:
-    """MC estimate for a transformed (dual) put; supports upward jumps."""
-    payoff = lambda s: np.maximum(spec.strike - s, 0.0)
-    u_eff = spec.u if math.isfinite(spec.u) else 1e12
-    return _engine(spec.drift, spec.sigma, spec.jump_rate, spec.jump_decay,
-                   spec.jumps_up, spec.discount, payoff, spec.l, u_eff,
-                   spec.spot, n_paths, dt, t_max, seed, payoff_cap=spec.strike)
 
 
 # ---------------------------------------------------------------------------
@@ -460,5 +411,9 @@ def symmetry_check(problem: PricingProblem, s: float, b: Boundaries,
                   problem.omega, payoff_call, b.l, b.u, s, n_paths, dt, t_max,
                   seed, payoff_cap=cap)
     spec = putcall_transform(problem, s, b)
-    rhs = stopped_value_spec(spec, n_paths, dt, t_max, seed=seed + 1)
+    payoff_put = lambda sv: np.maximum(spec.strike - sv, 0.0)
+    u_eff = spec.u if math.isfinite(spec.u) else 1e12
+    rhs = _engine(spec.drift, spec.sigma, spec.jump_rate, spec.jump_decay,
+                  spec.jumps_up, spec.discount, payoff_put, spec.l, u_eff,
+                  spec.spot, n_paths, dt, t_max, seed + 1, payoff_cap=spec.strike)
     return lhs, rhs

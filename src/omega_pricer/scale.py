@@ -34,18 +34,6 @@ from scipy.integrate import solve_ivp
 from .discount import DiscountFn, LogDiscount, Tabulated
 from .levy import LevyModel, RootDecomposition, phi_right_inverse, psi_roots
 
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-
-        return wrap
-
 __all__ = [
     "LogGrid",
     "ScaleTable",
@@ -148,8 +136,7 @@ def _exp_weights(gh: np.ndarray):
     return alpha, beta
 
 
-@njit(cache=True)
-def _march_kernel(egh, aw, bw, ups, inhom, q, vals, ls):  # pragma: no cover
+def _march_kernel(egh, aw, bw, ups, inhom, q, vals, ls):
     """Forward product-integration march; writes scaled values and log scales.
 
     Returns 0 on success, else the 1-based node index where the implicit

@@ -54,6 +54,7 @@ def test_preset_gold_loan_smoke(tmp_path):
     assert code == EXIT_OK
     summary = _read_summary(tmp_path / "summary.txt")
     assert "call_mc" in summary and "dual_put_mc" in summary
+    assert int(summary["mc_path_steps"]) > 0
 
 
 def test_config_roundtrip_bit_identical(tmp_path):
@@ -157,6 +158,7 @@ def test_mc_check_task(tmp_path):
     summary = _read_summary(tmp_path / "summary.txt")
     assert float(summary["abs_gap_over_stderr"]) < 4.0
     assert summary["mc_unreliable"] == "False"
+    assert int(summary["mc_path_steps"]) > 0
 
 
 def test_bermudan_task(tmp_path):

@@ -98,24 +98,6 @@ def test_dt_refinement(bs_model):
     assert abs(e1.mean - e2.mean) < tol
 
 
-def test_antithetic_preserves_mean(bs_model):
-    gamma = 2.5
-    u = 20.0 * gamma / (1 + gamma)
-    kw = dict(n_paths=20_000, dt=4e-3, t_max=60.0)
-    plain = stopped_value(bs_model, Constant(0.05), 20.0, Boundaries(0.0, u),
-                          15.0, seed=21, **kw)
-    anti = stopped_value(bs_model, Constant(0.05), 20.0, Boundaries(0.0, u),
-                         15.0, seed=22, antithetic=True, **kw)
-    comb = math.hypot(plain.stderr, anti.stderr)
-    assert abs(plain.mean - anti.mean) < 3.0 * comb
-
-
-def test_antithetic_requires_diffusion(crash_model):
-    with pytest.raises(NotImplementedError):
-        stopped_value(crash_model, Constant(0.05), 20.0, Boundaries(0.0, 10.0),
-                      15.0, 100, 1e-2, t_max=1.0, antithetic=True)
-
-
 def test_stopped_value_crash_vs_analytic(crash_model):
     pb = PricingProblem(crash_model, Linear(0.1), 20.0)
     res = optimize_boundaries(pb, n_curve=64)
@@ -137,6 +119,55 @@ def test_stopped_value_sigma_pos_step_vs_analytic(crash_model_sigma):
                         50_000, 1e-3, t_max=60.0, seed=4)
     assert abs(est.mean - analytic) < 3.0 * est.stderr
     assert abs(est.mean - analytic) / analytic < 0.01
+
+
+# (mean, stderr, censored_fraction, truncation_mass) to 1e-12: a change to the
+# engine's cost must leave these bits alone, a change to the estimator moves them
+PINNED = {
+    "crash_linear": (6.268786514335409, 0.06572590514549824, 0.0, 0.0),
+    "bs_constant": (5.0369225065402174, 0.02766567126967135, 0.1064,
+                    0.0052747846319455),
+    "jump_step": (11.21575766219304, 0.042376382912684266, 0.0, 0.0),
+    "symmetry": ((5.630425144797729, 0.049480378852439645, 0.2776, 7.197789832143572),
+                 (5.6520470503059235, 0.006631384872818921, 0.0068,
+                  0.12936720173209704)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED))
+def test_engine_pinned_estimates(case, crash_model, crash_model_sigma, bs_model):
+    if case == "crash_linear":
+        ests = [stopped_value(crash_model, Linear(0.1), 20.0, Boundaries(0.0, 12.0),
+                              15.0, 5000, 1e-3, t_max=60.0, seed=31)]
+    elif case == "bs_constant":
+        ests = [stopped_value(bs_model, Constant(0.05), 20.0, Boundaries(0.0, 14.0),
+                              15.0, 5000, 2e-3, t_max=120.0, seed=32)]
+    elif case == "jump_step":
+        ests = [stopped_value(crash_model_sigma, Step(0.05, 0.10, 12.0), 20.0,
+                              Boundaries(0.0, 12.5), 15.0, 5000, 1e-3, t_max=60.0,
+                              seed=33)]
+    else:
+        # sigma = 0 call stopped on [28, 55]; the dual put has upward jumps
+        pb = PricingProblem(crash_model, Constant(0.06), 20.0, "call")
+        ests = symmetry_check(pb, 20.0, Boundaries(28.0, 55.0), 5000, 2e-3, 5.0,
+                              seed=34)
+    pinned = PINNED[case] if case == "symmetry" else (PINNED[case],)
+    assert len(ests) == len(pinned)
+    for est, want in zip(ests, pinned):
+        got = (est.mean, est.stderr, est.censored_fraction, est.truncation_mass)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_path_steps_count(bs_model):
+    # dt = 1/8 leaves no room to stretch, so every path takes 8 exact steps to
+    # t_max = 1 without reaching u = 1 from 15
+    est = stopped_value(bs_model, Constant(0.05), 20.0, Boundaries(0.0, 1.0),
+                        15.0, 1000, 0.125, t_max=1.0, seed=8)
+    assert est.censored_fraction == 1.0
+    assert est.path_steps == 8 * 1000
+    now = stopped_value(bs_model, Constant(0.05), 20.0, Boundaries(0.0, 16.0),
+                        15.0, 1000, 0.125, t_max=1.0, seed=8)
+    assert now.path_steps == 0
 
 
 def test_truncation_mass_reported(bs_model):
