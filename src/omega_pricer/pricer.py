@@ -11,8 +11,10 @@ Three analytic routes cover the supported model/discount combinations:
   sigma > 0, by continuity at u; one scale.RecessiveBasis per problem serves
   every barrier and every rate kind.
 * Exponential-jump models whose discount is negative near zero admit a
-  two-sided stopping interval priced through the H-function below and the
-  same down-passage and creeping factors above.
+  two-sided stopping interval.  Below l the value follows the upward-passage
+  function H, one forward integration of the renewal state system of
+  psi - c from the level s = 1 below which the rate is the flat c; above u
+  it uses the same down-passage and creeping factors as the one-sided route.
 
 Calls are handled exclusively through the put-call transform.
 """
@@ -28,9 +30,9 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq, minimize_scalar
 
-from .discount import DiscountFn, Rational, check_flat_below_one, shift_tilt
+from .discount import DiscountFn, Rational, check_flat_below_one
 from .levy import LevyModel, laplace_exponent, psi_roots
-from .scale import LogGrid, RecessiveBasis, build_scale_table, phi_ext, renewal_solve_h
+from .scale import RecessiveBasis, forward_state
 from .specfun import gauss_2f1, gauss_2f1_deriv
 
 __all__ = [
@@ -311,6 +313,8 @@ class _CrashValuation:
     """
 
     def __init__(self, problem: PricingProblem, s_lo: float, s_hi: float):
+        if not problem.model.has_jumps:
+            raise ValueError("jump route requires an exponential-jump model")
         self.problem = problem
         self.core = RecessiveBasis(problem.model, problem.omega, s_lo, s_hi)
 
@@ -395,36 +399,49 @@ def _crash_fit_root(problem: PricingProblem, valuation: _CrashValuation) -> floa
 # ---------------------------------------------------------------------------
 
 class _TwoSidedValuation:
-    """Scale data for interval stopping with l > 0 under exponential jumps."""
+    """Interval stopping with l > 0 under exponential jumps.
 
-    def __init__(self, problem: PricingProblem, x_max: float = 3.5, n: int = 1201):
+    Below l the value is (K - l) H(s) / H(l).  Where omega equals its flat
+    level c (y = log s <= 0) H = e^{Phi(c) y}; above, H is the forward
+    solution of the renewal state system of psi - c with rate omega(e^y) - c,
+    started at y = 0 from H = 1 and integrated once up to log(2.2 K).  The
+    same integration carries int_0^y H(w) e^{phi w} dw for the overshoot
+    average.  Above u the value uses the one-sided passage factors.
+    """
+
+    def __init__(self, problem: PricingProblem):
         model, omega = problem.model, problem.omega
         if not model.has_jumps:
             raise ValueError("two-sided route requires an exponential-jump model")
         self.problem = problem
-        self.flat = check_flat_below_one(omega)
-        if self.flat is None:
+        flat = check_flat_below_one(omega)
+        if flat is None:
             raise ValueError("two-sided route requires omega constant on (0, 1]")
         K = problem.strike
         self._crash = _CrashValuation(problem, 0.02 * K, 2.2 * K)
-        self.x_max = x_max
-        self.n = n
-        self.phi_c = phi_ext(model, self.flat)
-        grid = LogGrid(x_max, n)
-        dec_c = psi_roots(model, self.flat)
-        self.h_grid = grid
-        self.h_tab = renewal_solve_h(dec_c, shift_tilt(omega, 1.0), self.flat,
-                                     grid, self.phi_c)
+        dec = psi_roots(model, flat)
+        i = int(np.argmax(dec.gammas))
+        self.phi_c = dec.gammas[i]
+        self._ups = np.asarray(dec.upsilons)
+        self._y_top = max(math.log(2.2 * K), 0.0)
+        self._h = forward_state(dec, lambda y: float(omega(math.exp(y))) - flat,
+                                self._y_top, i, model.phi)
+
+    def _forward(self, y):
+        """(H, int_0^y H(w) e^{phi w} dw) at 0 <= y <= log(2.2 K)."""
+        if np.any(y > self._y_top + 1e-12):
+            raise ValueError(f"log-price above the H range {self._y_top:.6g}")
+        v = self._h(y)
+        return self._ups @ v[:-1], v[-1]
 
     def h_at(self, s) -> np.ndarray:
-        """H at log-price x = log s; exponential below the flat region."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = np.log(np.atleast_1d(np.asarray(s, dtype=float)))
-        out = np.empty_like(x)
-        neg = x <= 0.0
-        with np.errstate(under="ignore"):
-            out[neg] = np.exp(self.phi_c * x[neg])
-        out[~neg] = np.interp(x[~neg], self.h_grid.nodes(), self.h_tab)
+        """H at log-price y = log s; exponential where omega is flat."""
+        with np.errstate(divide="ignore"):
+            y = np.log(np.atleast_1d(np.asarray(s, dtype=float)))
+        out = np.exp(self.phi_c * np.minimum(y, 0.0))
+        pos = y > 0.0
+        if np.any(pos):
+            out[pos] = self._forward(y[pos])[0]
         return out
 
     def overshoot_average(self, l: float, u: float) -> float:
@@ -439,21 +456,11 @@ class _TwoSidedValuation:
         # continuation part: phi u^{-phi} int_{-inf}^{log l} H(w) e^{phi w} dw
         log_l = math.log(l)
         if log_l <= 0.0:
+            h_l = math.exp(self.phi_c * log_l)
             integral = math.exp((self.phi_c + phi) * log_l) / (self.phi_c + phi)
         else:
-            integral = 1.0 / (self.phi_c + phi)
-            xs = self.h_grid.nodes()
-            mask = xs <= log_l
-            xs_in = xs[mask]
-            if xs_in.size >= 2:
-                vals = self.h_tab[mask] * np.exp(phi * xs_in)
-                integral += np.trapezoid(vals, xs_in)
-                x_last = xs_in[-1]
-                if log_l > x_last + 1e-14:
-                    h_ll = float(np.interp(log_l, xs, self.h_tab))
-                    integral += 0.5 * (vals[-1] + h_ll * math.exp(phi * log_l)) \
-                        * (log_l - x_last)
-        h_l = float(self.h_at(l)[0])
+            h_l, tail = self._forward(log_l)
+            integral = 1.0 / (self.phi_c + phi) + tail
         part_below = (K - l) / h_l * phi * u ** (-phi) * integral
         return part_in + part_below
 
@@ -474,54 +481,18 @@ class _TwoSidedValuation:
 
 
 def value_two_sided(problem: PricingProblem, b: Boundaries, s,
-                    valuation: Optional[_TwoSidedValuation] = None,
-                    route: str = "factorized"):
+                    valuation: Optional[_TwoSidedValuation] = None):
     """Interval-stopping value for exponential-jump models, l > 0 allowed.
 
-    route='factorized' folds the exponential overshoot analytically against
-    the landing payoff and the below-l continuation factor (memorylessness
-    detaches the overshoot from the crossing level).  route='resolvent'
-    instead integrates the occupation resolvent r(x, z) = W(x) c(z) - W(x, z)
-    against the jump tail using the two-argument scale table; the routes
-    agree and cross-check each other.
+    Memorylessness detaches the exponential overshoot from the crossing
+    level, so above u it folds analytically against the landing payoff and
+    the below-l continuation factor H(.)/H(l); Monte Carlo
+    (`mc.stopped_value`) is the independent check.
     """
     if valuation is None:
         valuation = _TwoSidedValuation(problem)
-    out = np.array(valuation.value(b, s), dtype=float)
-    if route == "factorized":
-        return float(out[0]) if np.ndim(s) == 0 else out
-    if route != "resolvent":
-        raise ValueError("route must be 'factorized' or 'resolvent'")
-    s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-    above = s_arr > b.u
-    if np.any(above):
-        x = np.log(s_arr[above] / b.u)
-        jump_part = _resolvent_jump_factor(problem, b.u, x, valuation)
-        gbar = valuation.overshoot_average(b.l, b.u)
-        _, creep = valuation._crash.passage_split(b.u, x)
-        out[above] = gbar * jump_part + (problem.strike - b.u) * creep
+    out = valuation.value(b, s)
     return float(out[0]) if np.ndim(s) == 0 else out
-
-
-def _resolvent_jump_factor(problem: PricingProblem, u: float, x,
-                           valuation: _TwoSidedValuation) -> np.ndarray:
-    """lam * int_0^inf r(x, z) e^{-phi z} dz via the two-argument table."""
-    model = problem.model
-    xi = shift_tilt(problem.omega, u)
-    grid = LogGrid(valuation.x_max, min(valuation.n, 481))
-    tab = build_scale_table(model, xi, grid, want_w2=True)
-    xs = grid.nodes()
-    lam, phi = model.lam, model.phi
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty_like(x)
-    wq = np.exp(-phi * xs)
-    for i, xv in enumerate(x):
-        wx = float(tab.interp_w(xv))
-        w2_at_x = np.array([np.interp(xv, xs, tab.w2[:, k]) if xv >= xs[k] else 0.0
-                            for k in range(grid.n)])
-        integrand = (wx * tab.c_w2w - w2_at_x) * wq
-        out[i] = lam * np.trapezoid(integrand, xs)
-    return out
 
 
 def _two_sided_boundaries(problem: PricingProblem, valuation: _TwoSidedValuation,
@@ -554,6 +525,9 @@ def _two_sided_boundaries(problem: PricingProblem, valuation: _TwoSidedValuation
     us = np.linspace(0.05 * K, 0.99 * K, n_u)
     vals = [neg_value(u) for u in us]
     j = int(np.argmin(vals))
+    if j in (0, n_u - 1):
+        raise RuntimeError(f"two-sided value at s = {s0:g} peaks at the edge u = {us[j]:.6g} "
+                           f"of the scan [{us[0]:.6g}, {us[-1]:.6g}]; no interior optimum")
     lo, hi = us[max(0, j - 1)], us[min(n_u - 1, j + 1)]
     res = minimize_scalar(neg_value, bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-6 * K})
@@ -774,8 +748,7 @@ def optimize_boundaries(problem: PricingProblem, n_curve: int = 512) -> PricingR
             bounds = Boundaries(0.0, u_star)
             value_fn = lambda s: val.value(u_star, s)
         else:
-            ts = _TwoSidedValuation(problem,
-                                    x_max=max(3.5, math.log(2.2 * K)) + 0.5)
+            ts = _TwoSidedValuation(problem)
             bounds = _two_sided_boundaries(problem, ts)
             value_fn = lambda s: ts.value(bounds, s)
             diagnostics["fit_condition"] = "grid-search"

@@ -3,23 +3,28 @@
 The W/Z/H-type scale functions solve Volterra renewal equations
 u(x) = f(x) + int_0^x W(x-z) rate(z) u(z) dz whose kernel is the classical
 zero scale function W(x) = sum_i ups_i e^{gamma_i x}, a short sum of
-exponentials for the supported models.  Two solvers use that structure:
+exponentials for the supported models.  The running convolutions of the
+kernel exponentials are the components of a state P, u = ups . P, of the
+linear system P' = (diag(gamma) + rate 1 ups^T) P, and every number the
+library returns comes from that system:
 
+* It reads the rate only, never its slope, so step and tabulated rates
+  integrate like smooth ones, and in absolute log-price y = log s it depends
+  on no barrier.  `RecessiveBasis` integrates its recessive (decaying in s)
+  solutions once, backward in y, so a single object serves every barrier
+  level: the one-sided jump value, the passage factor Z - c W and its
+  creeping part are all recessive solutions fixed by conditions at
+  y = log u, and the tail constant c = lim Z/W is the one that makes
+  Z - c W recessive.
+* `forward_state` integrates it forward from one level: W starts from
+  P = 1, Z from e_i0 / ups_i0 (i0 the zero root) and H, with the roots of
+  psi - c, from e_i / ups_i (i the root Phi(c)).  It gives the tables of
+  `build_scale_table` and the two-sided pricer's H.
 * The march convolves each kernel exponential exactly against a
   piecewise-linear interpolant of the running solution (product
-  integration), an explicit O(n) forward march per table with no stiffness
-  penalty from fast kernel components; tail ratios (Z/W limits) are
-  extrapolated from extended runs with Aitken acceleration.  It tables H,
-  serves the CLI `scale` task and cross-checks the state system.
-* The running convolutions of the march are the components of the state
-  P, u = ups . P, of the linear system P' = (diag(gamma) + rate 1 ups^T) P.
-  The system reads the rate only, never its slope, so step and tabulated
-  rates integrate like smooth ones, and in absolute log-price y = log s it
-  depends on no barrier.  `RecessiveBasis` integrates its recessive
-  (decaying in s) solutions once, backward in y, so a single object serves
-  every barrier level: the one-sided jump value, the passage factor Z - c W
-  and its creeping part are all recessive solutions fixed by conditions at
-  y = log u.  `ode_solve_crash` integrates it forward from one level.
+  integration), an explicit O(n) forward march per table, second order in
+  the step.  It is the tests' reference for the state system (acceptance
+  criterion 4); no library path calls it.
 """
 
 from __future__ import annotations
@@ -31,26 +36,22 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .discount import DiscountFn, LogDiscount, Tabulated
-from .levy import LevyModel, RootDecomposition, phi_right_inverse, psi_roots
+from .discount import DiscountFn, LogDiscount
+from .levy import LevyModel, RootDecomposition, psi_roots
 
 __all__ = [
     "LogGrid",
     "ScaleTable",
     "GridTooCoarseError",
-    "RatioLimitError",
     "classical_w",
     "classical_z",
     "renewal_solve_w",
     "renewal_solve_z",
-    "renewal_solve_h",
-    "renewal_solve_w2",
-    "ratio_limit",
+    "forward_state",
     "ode_solve_crash",
     "ode_solve_crash_sigma",
     "RecessiveBasis",
     "build_scale_table",
-    "phi_ext",
 ]
 
 
@@ -60,14 +61,6 @@ class GridTooCoarseError(ValueError):
     def __init__(self, msg: str, suggested_n: int):
         super().__init__(f"{msg}; retry with n >= {suggested_n}")
         self.suggested_n = suggested_n
-
-
-class RatioLimitError(RuntimeError):
-    """Tail-ratio extrapolation failed to stabilise."""
-
-    def __init__(self, msg: str, estimates):
-        super().__init__(f"{msg}; last estimates {list(estimates)}")
-        self.estimates = tuple(estimates)
 
 
 @dataclass(frozen=True)
@@ -233,188 +226,51 @@ def renewal_solve_z(decomp: RootDecomposition, xi: LogDiscount, grid: LogGrid) -
                         np.ones(grid.n), np.asarray(xi(xs), dtype=float))
 
 
-def renewal_solve_h(decomp_c: RootDecomposition, xi: LogDiscount, c: float,
-                    grid: LogGrid, phi_c: float) -> np.ndarray:
-    """H-type table: u = e^{Phi(c)x} + int_0^x W^{(c)}(x-z)(xi(z)-c) u(z) dz.
-
-    decomp_c is the root decomposition of psi - c; the caller certifies that
-    the rate equals c at and below the starting level.
-    """
-    xs = grid.nodes()
-    return _march_plain(decomp_c.gammas, decomp_c.upsilons, grid.h,
-                        np.exp(phi_c * xs), np.asarray(xi(xs), dtype=float) - c)
-
-
-def renewal_solve_w2(decomp: RootDecomposition, xi: LogDiscount, grid: LogGrid) -> np.ndarray:
-    """Two-argument table w2[j, k] = W-type function started at level x_k (j >= k).
-
-    Column k solves the same Volterra equation on [x_k, x_max] with the rate
-    read at absolute positions; entries above the diagonal are zero.
-    """
-    xs = grid.nodes()
-    n = grid.n
-    q = np.asarray(xi(xs), dtype=float)
-    wg = classical_w(decomp, xs)
-    out = np.zeros((n, n))
-    for k0 in range(n):
-        m = n - k0
-        out[k0:, k0] = _march_plain(decomp.gammas, decomp.upsilons, grid.h,
-                                    wg[:m], q[k0:])
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Tail-ratio extrapolation
-# ---------------------------------------------------------------------------
-
-def _aitken(seq: np.ndarray) -> np.ndarray:
-    s = np.asarray(seq, dtype=float)
-    d1 = np.diff(s)
-    dd = np.diff(d1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        corr = np.where(dd != 0.0, d1[1:] ** 2 / np.where(dd != 0.0, dd, 1.0), 0.0)
-    return s[2:] - corr
-
-
-def _limit_from_samples(samples):
-    """(estimate, relative spread) from iterated-Aitken tail extrapolation."""
-    s = np.asarray(samples, dtype=float)
-    s = s[np.isfinite(s)]
-    if s.size < 3:
-        raise RatioLimitError("too few usable tail samples", s)
-    levels = [s]
-    for _ in range(2):
-        if levels[-1].size >= 3:
-            levels.append(_aitken(levels[-1]))
-    best = levels[-1]
-    tail = best[-3:] if best.size >= 3 else best
-    est = float(tail[-1])
-    scale = max(abs(est), 1e-30)
-    spread = float(np.max(np.abs(np.diff(tail)))) / scale if tail.size > 1 else math.inf
-    return est, spread
-
-
-def ratio_limit(zvals: np.ndarray, wvals: np.ndarray, grid: LogGrid,
-                rel_tol: float = 1e-6) -> float:
-    """Extrapolated limit of z(x)/w(x) as x grows, from same-grid tables."""
-    n = len(wvals)
-    m = max(1, n // 16)
-    idx = np.arange(n - 1, n // 2, -m)[::-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.asarray(zvals, float)[idx] / np.asarray(wvals, float)[idx]
-    est, spread = _limit_from_samples(r)
-    if spread > rel_tol:
-        # geometric decay toward zero: the relative spread never settles even
-        # though the limit is plainly 0
-        finite = r[np.isfinite(r)]
-        mags = np.abs(finite)
-        if (finite.size >= 4 and np.all(np.diff(mags) < 0.0)
-                and mags[-1] < 0.2 * mags[0] and abs(est) < 1e-3 * mags[-1]):
-            return est
-        raise RatioLimitError(
-            f"tail ratio not converged (spread {spread:.2e} > {rel_tol:.0e}); extend the grid",
-            r[-3:])
-    return est
-
-
-def _rate_values(xi: LogDiscount, xs: np.ndarray):
-    """Rate samples, truncated to the evaluable/finite prefix."""
-    if isinstance(xi.base, Tabulated):
-        hull = math.log(float(xi.base._xs[-1])) - xi.shift
-        keep = xs <= hull + 1e-12
-        xs = xs[keep]
-    with np.errstate(over="ignore"):
-        q = np.asarray(xi(xs), dtype=float)
-    if not np.all(np.isfinite(q)):
-        first_bad = int(np.argmax(~np.isfinite(q)))
-        xs, q = xs[:first_bad], q[:first_bad]
-    return xs, q
-
-
-def _c_limit_by_extension(decomp, xi: LogDiscount, grid: LogGrid,
-                          rel_tol: float = 1e-6, max_extra: float = 24.0) -> float:
-    """c = lim Z/W from a joint extended march with rescaling."""
-    h = grid.h
-    n_ext = grid.n + int(round(max_extra / h))
-    xs = np.arange(n_ext) * h
-    xs, q = _rate_values(xi, xs)
-    n_ext = len(xs)
-    if n_ext < grid.n:
-        raise RatioLimitError("rate not evaluable across the base grid", [])
-
-    def run(n_use):
-        inh = classical_w(decomp, xs[:n_use])
-        wv, wls = _march(decomp.gammas, decomp.upsilons, h, inh, q[:n_use])
-        zv, zls = _march(decomp.gammas, decomp.upsilons, h, np.ones(n_use), q[:n_use])
-        return wv, wls, zv, zls
-
-    try:
-        wv, wls, zv, zls = run(n_ext)
-    except GridTooCoarseError as err:
-        # fast-growing rate: march only as far as the spacing allows
-        bw = _exp_weights(np.asarray(decomp.gammas, complex) * h)[1]
-        sum_b = abs(float(np.sum(np.asarray(decomp.upsilons, complex) * bw * h).real))
-        cap = 0.5 / max(sum_b, 1e-300)
-        over = np.abs(q) > cap
-        n_ok = int(np.argmax(over)) if np.any(over) else n_ext
-        if n_ok <= grid.n:
-            raise err
-        n_ext = n_ok
-        wv, wls, zv, zls = run(n_ext)
-    spacing = max(1, int(round(0.5 / h)))
-    idx = np.arange(n_ext - 1, max(grid.n // 2, 2), -spacing)[::-1]
-    if idx.size < 5:
-        idx = np.unique(np.linspace(max(2, n_ext // 2), n_ext - 1, 9).astype(int))
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        ratios = (zv[idx] / wv[idx]) * np.exp(zls[idx] - wls[idx])
-    est, spread = _limit_from_samples(ratios)
-    if spread > rel_tol:
-        finite = ratios[np.isfinite(ratios)]
-        mags = np.abs(finite)
-        if (finite.size >= 4 and np.all(np.diff(mags) < 0.0)
-                and mags[-1] < 0.2 * mags[0] and abs(est) < 1e-3 * mags[-1]):
-            return est  # geometric decay toward a zero limit
-        raise RatioLimitError("extended march did not stabilise the tail ratio",
-                              ratios[-3:])
-    return est
-
-
-def phi_ext(model: LevyModel, c: float) -> float:
-    """Largest real root of psi = c (right inverse for c >= 0, continued below)."""
-    if c >= 0.0:
-        return phi_right_inverse(model, c)
-    dec = psi_roots(model, c)
-    return max(dec.gammas)
-
-
 # ---------------------------------------------------------------------------
 # Renewal state system
 # ---------------------------------------------------------------------------
 
-def ode_solve_crash(model: LevyModel, xi: LogDiscount, grid: LogGrid,
-                    which: str = "W") -> np.ndarray:
-    """W- or Z-type table by forward integration of the renewal state system.
+def forward_state(dec: RootDecomposition, rate, x_end: float,
+                  i0: Optional[int] = None, phi: Optional[float] = None):
+    """Dense forward solution of the renewal state system on [0, x_end].
 
-    With W(x) = sum_i ups_i e^{gamma_i x} (q = 0) the table is ups . P for
-    P' = (diag(gamma) + xi(x) 1 ups^T) P, started from P = 1 (W) or from
-    e_i0 / ups_i0 (Z, i0 the zero root).  Serves every model and rate kind.
+    P' = (diag(gamma) + rate(x) 1 ups^T) P for the roots and weights of dec
+    and a scalar rate(x), started from P = 1 (F = ups . P is then W-type) or,
+    given i0, from e_i0 / ups_i0 (F(x) = e^{gamma_i0 x} + ...: Z-type for the
+    zero root, H-type for Phi(c) of psi - c).  With phi one more component
+    carries int_0^x F(z) e^{phi z} dz.  Returns scipy's OdeSolution of the
+    stacked state; raises OverflowError when it leaves double range.
     """
-    dec = psi_roots(model)
     g = np.asarray(dec.gammas)
     ups = np.asarray(dec.upsilons)
-    if which == "W":
-        p0 = np.ones_like(g)
-    elif which == "Z":
-        i0 = int(np.argmin(np.abs(g)))
-        p0 = np.zeros_like(g)
-        p0[i0] = 1.0 / ups[i0]
-    else:
-        raise ValueError("which must be 'W' or 'Z'")
-    sol = solve_ivp(lambda x, p: g * p + float(xi(x)) * (ups @ p), (0.0, grid.x_max), p0,
-                    t_eval=grid.nodes(), method="DOP853", rtol=1e-11, atol=1e-12)
+    m = len(g)
+    v0 = np.ones(m) if i0 is None else np.eye(m)[i0] / ups[i0]
+
+    def rhs(x, v):
+        f = ups @ v[:m]
+        dp = g * v[:m] + rate(x) * f
+        return dp if phi is None else np.append(dp, f * math.exp(phi * x))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = solve_ivp(rhs, (0.0, x_end), v0 if phi is None else np.append(v0, 0.0),
+                        method="DOP853", rtol=1e-12, atol=1e-12, dense_output=True)
+    if not np.all(np.abs(sol.y) < 1e300):  # also catches inf and nan
+        raise OverflowError("renewal state leaves double range; reduce x_max")
     if not sol.success:
         raise RuntimeError(f"ODE integration failed: {sol.message}")
-    return ups @ sol.y
+    return sol.sol
+
+
+def ode_solve_crash(model: LevyModel, xi: LogDiscount, grid: LogGrid,
+                    which: str = "W") -> np.ndarray:
+    """W- or Z-type table (q = 0) by forward integration of the renewal state
+    system; serves every model and rate kind."""
+    if which not in ("W", "Z"):
+        raise ValueError("which must be 'W' or 'Z'")
+    dec = psi_roots(model)
+    i0 = None if which == "W" else int(np.argmin(np.abs(dec.gammas)))
+    sol = forward_state(dec, lambda x: float(xi(x)), grid.x_max, i0)
+    return np.asarray(dec.upsilons) @ sol(grid.nodes())
 
 
 ode_solve_crash_sigma = ode_solve_crash
@@ -446,8 +302,6 @@ class RecessiveBasis:
     """
 
     def __init__(self, model: LevyModel, fn: DiscountFn, s_lo: float, s_hi: float):
-        if not model.has_jumps:
-            raise ValueError("recessive basis requires an exponential-jump model")
         if not 0.0 < s_lo <= s_hi:
             raise ValueError("need 0 < s_lo <= s_hi")
         dec = psi_roots(model)
@@ -462,7 +316,10 @@ class RecessiveBasis:
             p = v.reshape(m, m - 1)
             return (g[:, None] * p + fn(math.exp(y)) * (ups @ p)).ravel()
 
-        y_hi = self.y_top + _CORE_MARGIN
+        s_start = s_hi * math.exp(_CORE_MARGIN)
+        y_hi = math.log(s_start)
+        while math.exp(y_hi) > s_start:  # never read omega above s_hi e^margin
+            y_hi = math.nextafter(y_hi, -math.inf)
         frozen = np.diag(g) + float(fn(math.exp(y_hi))) * np.outer(np.ones(m), ups)
         lam, vec = np.linalg.eig(frozen)
         by_re = np.argsort(lam.real)
@@ -516,6 +373,17 @@ class RecessiveBasis:
             jet.append((ug * self.gammas) @ p + w * ug.sum() * f)
         return np.array(jet)
 
+    def tail_constant(self, y: float) -> float:
+        """c = lim Z/W for the W and Z started at level e^y.
+
+        Z - c W is recessive, so at y the Z start e_i0 / ups_i0 is c times
+        the W start 1 plus a recessive state: [P-basis | 1] (a, c) = e_i0 / ups_i0.
+        """
+        m = self.order
+        i0 = int(np.argmin(np.abs(self.gammas)))
+        z_start = np.eye(m)[i0] / self.upsilons[i0]
+        return float(np.linalg.solve(np.column_stack([self.state(y), np.ones(m)]), z_start)[-1])
+
     def evaluate(self, y0: float, coef, ys) -> np.ndarray:
         """F(ys) at ys >= y0 for the recessive solution F(y0) = basis(y0) @ coef.
 
@@ -552,68 +420,29 @@ class ScaleTable:
     z: np.ndarray
     c_zw: float
     hh: Optional[np.ndarray] = None
-    w2: Optional[np.ndarray] = None
-    c_w2w: Optional[np.ndarray] = None
     flat_level: Optional[float] = None
-
-    def interp_w(self, x):
-        return np.interp(x, self.grid.nodes(), self.w)
-
-    def interp_z(self, x):
-        return np.interp(x, self.grid.nodes(), self.z)
-
-    def passage_below(self, x):
-        """Z(x) - c*W(x): the discounted down-passage factor."""
-        return self.interp_z(x) - self.c_zw * self.interp_w(x)
 
 
 def build_scale_table(model: LevyModel, xi: LogDiscount, grid: LogGrid, *,
-                      want_h: bool = False, flat_level: Optional[float] = None,
-                      want_w2: bool = False, c_rel_tol: float = 1e-6) -> ScaleTable:
-    """W/Z tables plus the tail-ratio constant; optional H and two-argument W."""
-    dec = psi_roots(model)
-    w = renewal_solve_w(dec, xi, grid)
-    z = renewal_solve_z(dec, xi, grid)
-    c = _c_limit_by_extension(dec, xi, grid, rel_tol=c_rel_tol)
+                      want_h: bool = False, flat_level: Optional[float] = None) -> ScaleTable:
+    """W/Z tables, the tail constant c = lim Z/W and, optionally, the H table.
+
+    W, Z and H are forward solutions of the renewal state system; H uses the
+    roots of psi - c for the flat level c of xi at and below x = 0, which the
+    caller certifies.  c comes from the recessive basis over the table's
+    range, read at x = 0: the basis starts _CORE_MARGIN above x_max, and the
+    error of that start decays over the whole span down to x = 0.
+    """
+    if want_h and flat_level is None:
+        raise ValueError("H table requires the flat-below-one certificate level")
+    w = ode_solve_crash(model, xi, grid, "W")
+    z = ode_solve_crash(model, xi, grid, "Z")
+    u = math.exp(xi.shift)
+    c = RecessiveBasis(model, xi.base, u, u * math.exp(grid.x_max)).tail_constant(xi.shift)
     hh = None
     if want_h:
-        if flat_level is None:
-            raise ValueError("H table requires the flat-below-one certificate level")
-        dec_c = psi_roots(model, flat_level)
-        hh = renewal_solve_h(dec_c, xi, flat_level, grid, phi_ext(model, flat_level))
-    w2 = None
-    c_w2w = None
-    if want_w2:
-        w2 = renewal_solve_w2(dec, xi, grid)
-        c_w2w = _w2_column_limits(dec, xi, grid)
-    return ScaleTable(grid=grid, w=w, z=z, c_zw=c, hh=hh, w2=w2, c_w2w=c_w2w,
-                      flat_level=flat_level)
-
-
-def _w2_column_limits(dec, xi: LogDiscount, grid: LogGrid,
-                      max_extra: float = 14.0) -> np.ndarray:
-    """c(z_k) = lim_y W(y, z_k)/W(y) per column, from extended marches."""
-    h = grid.h
-    n = grid.n
-    n_ext = n + int(round(max_extra / h))
-    xa = np.arange(n_ext) * h
-    xa, q_abs = _rate_values(xi, xa)
-    n_ext = len(xa)
-    inh_abs = classical_w(dec, xa)
-    dv, dls = _march(dec.gammas, dec.upsilons, h, inh_abs, q_abs)
-    spacing = max(1, int(round(0.5 / h)))
-    out = np.empty(n)
-    for k0 in range(n):
-        m = n_ext - k0
-        nv, nls = _march(dec.gammas, dec.upsilons, h, inh_abs[:m], q_abs[k0:])
-        idx = np.arange(m - 1, max((n - k0) // 2, 2), -spacing)[::-1]
-        if idx.size < 5:
-            idx = np.unique(np.linspace(max(2, m // 2), m - 1, 9).astype(int))
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            ratios = (nv[idx] / dv[idx + k0]) * np.exp(nls[idx] - dls[idx + k0])
-        est, spread = _limit_from_samples(ratios)
-        if spread > 1e-5:
-            raise RatioLimitError(f"two-argument column {k0} ratio not converged",
-                                  ratios[-3:])
-        out[k0] = est
-    return out
+        dec = psi_roots(model, flat_level)
+        sol = forward_state(dec, lambda x: float(xi(x)) - flat_level, grid.x_max,
+                            int(np.argmax(dec.gammas)))
+        hh = np.asarray(dec.upsilons) @ sol(grid.nodes())
+    return ScaleTable(grid=grid, w=w, z=z, c_zw=c, hh=hh, flat_level=flat_level)

@@ -1,62 +1,18 @@
-"""Gauss 2F1 and Kummer 1F1 evaluators with large-argument asymptotics.
+"""Gauss 2F1 evaluator for the rational-discount Black-Scholes branches.
 
-Power series where they converge fast, a Pfaff transformation for large
-negative 2F1 arguments, and the exponential asymptotics of 1F1 used for
-tail-ratio constants.  Complex weights are carried through; the public
-ratio helper returns the real parts.
+Power series where it converges fast and a Pfaff transformation for large
+negative arguments.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
-from dataclasses import dataclass
-from typing import Sequence
-
 __all__ = [
-    "gamma_fn",
     "gauss_2f1",
-    "kummer_1f1",
-    "WeightedKummerTail",
-    "kummer_ratio_limit",
+    "gauss_2f1_deriv",
 ]
 
 _MAX_TERMS = 10_000
 _SERIES_EPS = 1e-17
-
-# Lanczos approximation, g = 7, 9 coefficients
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma_fn(z):
-    """Gamma function via the Lanczos approximation (complex-capable)."""
-    z = complex(z)
-    if z.real < 0.5:
-        if z.imag == 0.0 and z.real <= 0.0 and abs(z.real - round(z.real)) < 1e-12:
-            raise ValueError(f"gamma pole at z = {z}")
-        # reflection formula
-        s = cmath.sin(cmath.pi * z)
-        return cmath.pi / (s * gamma_fn(1.0 - z))
-    z -= 1.0
-    acc = _LANCZOS_COEF[0]
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    out = math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * acc
-    if abs(out.imag) < 1e-14 * abs(out.real):
-        return complex(out.real, 0.0)
-    return out
 
 
 def _is_nonpositive_integer(x: float) -> bool:
@@ -102,81 +58,3 @@ def gauss_2f1(a: float, b: float, c: float, x: float) -> float:
 def gauss_2f1_deriv(a: float, b: float, c: float, x: float) -> float:
     """d/dx 2F1(a,b;c;x) = (a b / c) 2F1(a+1, b+1; c+1; x)."""
     return a * b / c * gauss_2f1(a + 1.0, b + 1.0, c + 1.0, x)
-
-
-def kummer_1f1(a: float, b: float, x: float) -> float:
-    """1F1(a; b; x) by Kahan-compensated power series.
-
-    Accurate to ~1e-10 relative for |x| <= 50 with the parameter ranges used
-    here; for x > 600 the value overflows and an OverflowError directs the
-    caller to kummer_1f1_scaled.
-    """
-    if _is_nonpositive_integer(b):
-        raise ValueError(f"1F1 parameter pole: b = {b}")
-    if x == 0.0:
-        return 1.0
-    if x > 600.0:
-        raise OverflowError("1F1 argument too large; use kummer_1f1_scaled")
-    term = 1.0
-    total = 1.0
-    comp = 0.0
-    for n in range(_MAX_TERMS):
-        term *= (a + n) / ((b + n) * (n + 1.0)) * x
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if abs(term) < _SERIES_EPS * abs(total):
-            return total
-    raise RuntimeError(f"1F1 series did not converge for x = {x}")
-
-
-def kummer_1f1_scaled(a: float, b: float, x: float) -> tuple:
-    """(mantissa, log_scale) with 1F1(a;b;x) = mantissa * exp(log_scale).
-
-    For large positive x uses the exponential asymptotic expansion
-    1F1 ~ Gamma(b)/Gamma(a) x^(a-b) e^x [1 + (b-a)(1-a)/x + ...].
-    """
-    if x <= 600.0:
-        return kummer_1f1(a, b, x), 0.0
-    # asymptotic series in 1/x
-    lead = (gamma_fn(b) / gamma_fn(a)).real * x ** (a - b)
-    corr = 1.0
-    term = 1.0
-    for n in range(1, 20):
-        term *= (b - a + n - 1.0) * (n - a) / (n * x)
-        corr += term
-        if abs(term) < 1e-14 * abs(corr):
-            break
-    return lead * corr, x
-
-
-@dataclass(frozen=True)
-class WeightedKummerTail:
-    """One term K * 1F1(a; b; A e^x)-style contribution to a tail coefficient.
-
-    The large-x coefficient of the term (up to the shared e^{A e^x} x-power
-    factor) is K * Gamma(b)/Gamma(a) * A^(a-b).
-    """
-
-    weight: complex
-    a: float
-    b: float
-    A: float
-
-    def tail_coefficient(self) -> complex:
-        return self.weight * gamma_fn(self.b) / gamma_fn(self.a) * self.A ** (self.a - self.b)
-
-
-def kummer_ratio_limit(numer: Sequence[WeightedKummerTail],
-                       denom: Sequence[WeightedKummerTail]) -> float:
-    """Ratio of real parts of summed asymptotic tail coefficients.
-
-    Both sums share the same dominant x-dependence, so their ratio is the
-    limit of the corresponding function ratio.
-    """
-    num = sum(t.tail_coefficient() for t in numer).real
-    den = sum(t.tail_coefficient() for t in denom).real
-    if den == 0.0 or abs(den) < 1e-300:
-        raise ZeroDivisionError("vanishing denominator in tail-coefficient ratio")
-    return num / den

@@ -6,7 +6,7 @@ from scipy.stats import norm
 
 from omega_pricer import Constant, LevyModel, Linear, Step
 from omega_pricer.levy import laplace_exponent
-from omega_pricer.pricer import Boundaries, PricingProblem, optimize_boundaries
+from omega_pricer.pricer import Boundaries, PricingProblem, optimize_boundaries, value_two_sided
 from omega_pricer.mc import (
     bermudan_dp,
     bermudan_value_at,
@@ -119,6 +119,21 @@ def test_stopped_value_sigma_pos_step_vs_analytic(crash_model_sigma):
                         50_000, 1e-3, t_max=60.0, seed=4)
     assert abs(est.mean - analytic) < 3.0 * est.stderr
     assert abs(est.mean - analytic) / analytic < 0.01
+
+
+@pytest.mark.parametrize("s0", [1.5, 4.5])
+def test_stopped_value_two_sided_vs_analytic(s0):
+    """The two-sided value at an interior interval: s = 1.5 lies below l and
+    reads H above the rate step at s = 1; s = 4.5 lies above u, where the
+    overshoot average folds in the integral of H below l (15.99 against 17.0
+    for l = 0)."""
+    model = LevyModel.calibrated(r=0.30, sigma=0.0, lam=0.5, phi=3.0)
+    fn = Step(-0.02, 0.12, 1.0, "above")
+    b = Boundaries(3.0, 4.0)
+    analytic = value_two_sided(PricingProblem(model, fn, 20.0), b, s0)
+    est = stopped_value(model, fn, 20.0, b, s0, 100_000, 1e-2, t_max=100.0, seed=5)
+    assert not est.unreliable
+    assert abs(est.mean - analytic) < 4.0 * est.stderr
 
 
 # (mean, stderr, censored_fraction, truncation_mass) to 1e-12: a change to the

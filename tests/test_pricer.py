@@ -188,6 +188,17 @@ def test_tabulated_linear_equals_linear(sigma):
     assert tab.value_fn(30.0)[0] == pytest.approx(lin.value_fn(30.0)[0], rel=1e-9)
 
 
+@pytest.mark.parametrize("strike", [20.0, 17.1, 23.9])
+def test_tabulated_knots_exactly_cover_the_range(crash_model, strike):
+    """Knots on exactly [0.02 K, 2.2 K e^3], the range the recessive basis
+    reads, price like Linear(0.1): the start level never rounds above it."""
+    knots = (0.02 * strike, 2.2 * strike * np.exp(3.0))
+    tab = optimize_boundaries(PricingProblem(
+        crash_model, Tabulated(knots, tuple(0.1 * k for k in knots)), strike), n_curve=64)
+    lin = optimize_boundaries(PricingProblem(crash_model, Linear(0.1), strike), n_curve=64)
+    assert tab.u_star == pytest.approx(lin.u_star, rel=1e-9)
+
+
 def test_step_value_beyond_range_raises(crash_model):
     """The value is defined up to 2.2 K, for step rates as for smooth ones;
     beyond it the pricer raises instead of clamping to the last node."""
@@ -264,16 +275,6 @@ def test_two_sided_inside_is_payoff(crash_model):
     assert np.max(np.abs(got - (20.0 - np.array([2.0, 3.3, 5.0])))) < 1e-12
 
 
-def test_two_sided_resolvent_route_agrees(crash_model):
-    pb = PricingProblem(crash_model, Constant(0.05), 20.0)
-    ts = _TwoSidedValuation(pb)
-    b = Boundaries(2.0, 5.0)
-    s = np.array([7.0, 9.0])
-    vr = value_two_sided(pb, b, s, valuation=ts, route="resolvent")
-    vf = value_two_sided(pb, b, s, valuation=ts, route="factorized")
-    assert np.max(np.abs(vr / vf - 1.0)) < 1e-2
-
-
 def test_two_sided_requires_flat_certificate(crash_model):
     pb = PricingProblem(crash_model, Step(-0.02, 0.12, y=0.5, direction="above"),
                         20.0)
@@ -288,6 +289,14 @@ def test_double_continuation_region_found():
     res = optimize_boundaries(PricingProblem(model, fn, 20.0), n_curve=128)
     assert 0.0 < res.l_star < res.u_star < 20.0
     assert res.fit["continuity_l"] < 1e-6
+
+
+def test_two_sided_edge_optimum_raises(crash_model):
+    """A value that peaks at the edge of the u-scan has no interior optimum;
+    the search raises instead of returning the scan's floor."""
+    pb = PricingProblem(crash_model, Constant(-0.01), 20.0)
+    with pytest.raises(RuntimeError, match="edge"):
+        optimize_boundaries(pb)
 
 
 # ---------------------------------------------------------------------------

@@ -6,18 +6,13 @@ from omega_pricer.levy import phi_right_inverse, psi_roots, laplace_exponent
 from omega_pricer.pricer import PricingProblem, _CrashValuation, optimize_boundaries
 from omega_pricer.scale import (
     GridTooCoarseError,
-    RatioLimitError,
     RecessiveBasis,
-    _c_limit_by_extension,
     build_scale_table,
     classical_w,
     classical_z,
     ode_solve_crash,
     ode_solve_crash_sigma,
-    ratio_limit,
-    renewal_solve_h,
     renewal_solve_w,
-    renewal_solve_w2,
     renewal_solve_z,
 )
 
@@ -73,14 +68,17 @@ def test_renewal_constant_rate_is_classical(fixture, request):
     assert z[0] == 1.0
 
 
+def _h_table(model, fn, c, grid):
+    return build_scale_table(model, shift_tilt(fn, 1.0), grid, want_h=True, flat_level=c).hh
+
+
 def test_renewal_h_constant_rate(crash_model):
     # xi == c makes the kernel vanish: H = e^{Phi(c) x}, so the upward-passage
     # factor H(x)/H(a) is the classical first-passage transform e^{-Phi(c)(a-x)}
     c = 0.05
-    dec_c = psi_roots(crash_model, c)
     grid = LogGrid(2.0, 501)
     phi_c = phi_right_inverse(crash_model, c)
-    h = renewal_solve_h(dec_c, shift_tilt(Constant(c), 1.0), c, grid, phi_c)
+    h = _h_table(crash_model, Constant(c), c, grid)
     xs = grid.nodes()
     assert h[0] == 1.0
     assert np.max(np.abs(h - np.exp(phi_c * xs))) < 1e-10
@@ -90,39 +88,14 @@ def test_renewal_h_constant_rate(crash_model):
 
 def test_renewal_h_step_rate(crash_model):
     # nonconstant part above the flat region makes H grow faster than e^{Phi(c)x}
-    fn = Step(0.05, 0.10, y=1.0)
+    fn = Step(0.05, 0.10, y=1.0, direction="above")
     c = 0.05
-    dec_c = psi_roots(crash_model, c)
     grid = LogGrid(2.5, 1001)
     phi_c = phi_right_inverse(crash_model, c)
-    h = renewal_solve_h(dec_c, shift_tilt(fn, 1.0), c, grid, phi_c)
+    h = _h_table(crash_model, fn, c, grid)
     assert h[0] == 1.0
     assert np.all(np.diff(h) > 0.0)
     assert h[-1] > np.exp(phi_c * grid.x_max)
-
-
-def test_w2_zero_column_and_diagonal(crash_model):
-    dec = psi_roots(crash_model)
-    grid = LogGrid(1.5, 201)
-    xi = shift_tilt(Linear(0.1), 1.0)
-    w2 = renewal_solve_w2(dec, xi, grid)
-    w = renewal_solve_w(dec, xi, grid)
-    assert np.max(np.abs(w2[:, 0] - w)) < 1e-10
-    w0 = classical_w(dec, 0.0)
-    assert np.max(np.abs(np.diag(w2) - w0)) < 1e-14
-
-
-def test_w2_constant_rate_translation_invariance(crash_model):
-    q = 0.05
-    dec = psi_roots(crash_model)
-    decq = psi_roots(crash_model, q)
-    grid = LogGrid(2.0, 1001)
-    w2 = renewal_solve_w2(dec, shift_tilt(Constant(q), 1.0), grid)
-    xs = grid.nodes()
-    for k in (0, 250, 600):
-        ref = classical_w(decq, xs[k:] - xs[k])
-        scale = np.maximum(np.abs(ref), 1e-12)
-        assert np.max(np.abs(w2[k:, k] - ref) / scale) < 1e-6
 
 
 def test_ratio_limit_constant_rate(crash_model):
@@ -133,23 +106,8 @@ def test_ratio_limit_constant_rate(crash_model):
 
 
 def test_ratio_limit_zero_rate(crash_model):
-    dec = psi_roots(crash_model)
-    grid = LogGrid(8.0, 2001)
-    xi = shift_tilt(Constant(0.0), 1.0)
-    w = renewal_solve_w(dec, xi, grid)
-    z = renewal_solve_z(dec, xi, grid)
-    assert abs(ratio_limit(z, w, grid)) < 1e-9
-
-
-def test_ratio_limit_nonconvergent_raises(crash_model):
-    dec = psi_roots(crash_model)
-    grid = LogGrid(0.5, 51)  # far too short for the tail
-    xi = shift_tilt(Constant(0.05), 1.0)
-    w = renewal_solve_w(dec, xi, grid)
-    z = renewal_solve_z(dec, xi, grid)
-    with pytest.raises(RatioLimitError) as err:
-        ratio_limit(z, w, grid)
-    assert len(err.value.estimates) >= 1
+    core = RecessiveBasis(crash_model, Constant(0.0), 1.0, np.exp(8.0))
+    assert abs(core.tail_constant(0.0)) < 1e-9
 
 
 def test_passage_factor_monotone_tail(crash_model):
@@ -278,18 +236,16 @@ def test_creeping_requires_positive_x(crash_model_sigma):
 @pytest.mark.parametrize("u", [4.0, 12.0])
 def test_recessive_tail_constant_vs_march(crash_model_sigma, u):
     """c(u) from [P-basis | 1](a, b, c) = e_i0 / ups_i0 at y = log u (the W and
-    Z starts of the renewal state, so Z - c W is recessive) against the
-    Richardson-extrapolated extended march (second order in the step)."""
+    Z starts of the renewal state, so Z - c W is recessive) against the march's
+    Z/W at x = 5, Richardson-extrapolated (second order in the step); the rate
+    0.1 u e^5 there makes Z/W settle far below the tolerance."""
     fn = Linear(0.1)
     core = RecessiveBasis(crash_model_sigma, fn, 0.4, 44.0)
     dec = psi_roots(crash_model_sigma)
-    i0 = int(np.argmin(np.abs(dec.gammas)))
-    z_start = np.eye(3)[i0] / dec.upsilons[i0]
-    c_core = np.linalg.solve(np.column_stack([core.state(np.log(u)), np.ones(3)]), z_start)[2]
     xi = shift_tilt(fn, u)
-    c1, c2 = (_c_limit_by_extension(dec, xi, LogGrid(3.0, n), rel_tol=1e-7)
-              for n in (1201, 2401))
-    assert c_core == pytest.approx(c2 + (c2 - c1) / 3.0, abs=2e-6)
+    r1, r2 = (renewal_solve_z(dec, xi, LogGrid(5.0, n))[-1]
+              / renewal_solve_w(dec, xi, LogGrid(5.0, n))[-1] for n in (2001, 4001))
+    assert core.tail_constant(np.log(u)) == pytest.approx(r2 + (r2 - r1) / 3.0, abs=2e-6)
 
 
 def test_recessive_constants_self_convergence(crash_model_sigma, monkeypatch):

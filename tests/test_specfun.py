@@ -3,27 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from omega_pricer.specfun import (
-    WeightedKummerTail,
-    gamma_fn,
-    gauss_2f1,
-    gauss_2f1_deriv,
-    kummer_1f1,
-    kummer_1f1_scaled,
-    kummer_ratio_limit,
-)
-
-
-def test_gamma_against_math():
-    for z in (0.1382, 0.5, 1.0, 1.1382, 2.5, 7.3, 0.0731707):
-        assert gamma_fn(z).real == pytest.approx(math.gamma(z), rel=1e-13)
-    # reflection region
-    assert gamma_fn(-0.3618).real == pytest.approx(math.gamma(-0.3618), rel=1e-12)
-
-
-def test_gamma_pole():
-    with pytest.raises(ValueError):
-        gamma_fn(-2.0)
+from omega_pricer.specfun import gauss_2f1, gauss_2f1_deriv
 
 
 def test_2f1_at_zero():
@@ -70,84 +50,20 @@ def test_2f1_satisfies_ode():
         assert abs(resid) / scale < 1e-8
 
 
-def test_1f1_exponential_identity():
-    for x in (-3.0, 0.5, 10.0, 40.0):
-        assert kummer_1f1(0.7, 0.7, x) == pytest.approx(math.exp(x), rel=1e-12)
-
-
-def test_1f1_at_zero():
-    assert kummer_1f1(2.3, 0.9, 0.0) == 1.0
-
-
-def test_1f1_parameter_pole():
-    with pytest.raises(ValueError):
-        kummer_1f1(1.0, -1.0, 0.5)
-
-
-def test_1f1_asymptotic():
-    # 1F1(a;b;x) ~ Gamma(b)/Gamma(a) x^{a-b} e^x [1 + (b-a)(1-a)/x + ...]
-    a, b, x = 3.0, 1.9268, 40.0
-    corr, term = 1.0, 1.0
-    for n in range(1, 4):
-        term *= (b - a + n - 1.0) * (n - a) / (n * x)
-        corr += term
-    lead = (gamma_fn(b) / gamma_fn(a)).real * x ** (a - b) * math.exp(x) * corr
-    assert kummer_1f1(a, b, x) == pytest.approx(lead, rel=1e-3)
-
-
-def test_1f1_satisfies_ode():
-    # x y'' + (b - x) y' - a y = 0 with contiguous derivatives
-    a, b = 3.0, 0.0731707
-    for x in (0.3, 2.0, 15.0):
-        y = kummer_1f1(a, b, x)
-        yp = a / b * kummer_1f1(a + 1, b + 1, x)
-        ypp = a * (a + 1) / (b * (b + 1)) * kummer_1f1(a + 2, b + 2, x)
-        resid = x * ypp + (b - x) * yp - a * y
-        assert abs(resid) / max(abs(y), 1.0) < 1e-8
-
-
-def test_1f1_scaled_handles_large_arguments():
-    val, ls = kummer_1f1_scaled(3.0, 1.9268, 800.0)
-    # compare against the asymptotic lead directly
-    lead = (gamma_fn(1.9268) / gamma_fn(3.0)).real * 800.0 ** (3.0 - 1.9268)
-    assert ls == 800.0
-    assert val == pytest.approx(lead, rel=1e-2)
-    with pytest.raises(OverflowError):
-        kummer_1f1(3.0, 1.9268, 800.0)
-
-
-def test_kummer_ratio_identical_weights_is_one():
-    terms = [WeightedKummerTail(1.5, 3.0, 1.9268, 0.2),
-             WeightedKummerTail(complex(0.2, 0.4), 3.9268, 2.9268, 0.2)]
-    assert kummer_ratio_limit(terms, terms) == pytest.approx(1.0, rel=1e-14)
-
-
-def test_kummer_ratio_linearity():
-    n = [WeightedKummerTail(1.5, 3.0, 1.9268, 0.2)]
-    d = [WeightedKummerTail(0.7, 3.9268, 2.9268, 0.2)]
-    base = kummer_ratio_limit(n, d)
-    doubled = kummer_ratio_limit(
-        [WeightedKummerTail(3.0, 3.0, 1.9268, 0.2)], d)
-    assert doubled == pytest.approx(2.0 * base, rel=1e-14)
-
-
-def test_kummer_ratio_vanishing_denominator():
-    n = [WeightedKummerTail(1.0, 3.0, 1.9268, 0.2)]
-    d = [WeightedKummerTail(0.0, 3.0, 1.9268, 0.2)]
-    with pytest.raises(ZeroDivisionError):
-        kummer_ratio_limit(n, d)
-
-
 def test_kummer_ratio_limit_matches_numeric_tail(crash_model):
-    """Closed-form tail constant vs the numerically extrapolated table ratio.
+    """Closed-form tail constant vs the state system's recessive basis.
 
-    Builds the two-solution Kummer representation of the W/Z tables for the
-    linear discount, fixes the weights from the known initial data, and
-    compares the asymptotic-coefficient ratio with scale.ratio_limit on the
-    numeric tables.
+    For sigma = 0 and omega = C s the W/Z functions at level u solve Kummer's
+    equation in A e^x (A = C u / mu): two solutions 1F1(a1; b1; A e^x) and
+    (-A e^x)^B 1F1(a2; b2; A e^x), weighted to the known initial data.  Both
+    grow like Gamma(b)/Gamma(a) A^{a-b} times a shared factor, so
+    c = lim Z/W is the ratio of the weighted asymptotic coefficients
+    (scipy's hyp1f1 and gamma, independent of the library).
     """
-    from omega_pricer import Linear, LogGrid, shift_tilt
-    from omega_pricer.scale import ode_solve_crash, ratio_limit
+    from scipy.special import gamma, hyp1f1
+
+    from omega_pricer import Linear
+    from omega_pricer.scale import RecessiveBasis
 
     C, u = 0.1, 4.56
     mu, lam, phi = crash_model.mu, crash_model.lam, crash_model.phi
@@ -158,25 +74,16 @@ def test_kummer_ratio_limit_matches_numeric_tail(crash_model):
     a2, b2 = B + Dd / A, B + 1.0
     phase = complex(-A, 0.0) ** B
 
-    def basis_at_zero():
-        f1 = kummer_1f1(a1, b1, A)
-        f2 = kummer_1f1(a2, b2, A)
-        f1p = a1 / b1 * kummer_1f1(a1 + 1, b1 + 1, A) * A
-        f2p = B * f2 + a2 / b2 * kummer_1f1(a2 + 1, b2 + 1, A) * A
-        return np.array([[f1, phase * f2], [f1p, phase * f2p]], dtype=complex)
-
-    M = basis_at_zero()
+    f1 = hyp1f1(a1, b1, A)
+    f2 = hyp1f1(a2, b2, A)
+    f1p = a1 / b1 * hyp1f1(a1 + 1, b1 + 1, A) * A
+    f2p = B * f2 + a2 / b2 * hyp1f1(a2 + 1, b2 + 1, A) * A
+    M = np.array([[f1, phase * f2], [f1p, phase * f2p]], dtype=complex)
     kw = np.linalg.solve(M, np.array([1.0 / mu, (C * u + lam) / mu ** 2], dtype=complex))
     kz = np.linalg.solve(M, np.array([1.0, C * u / mu], dtype=complex))
-    numer = [WeightedKummerTail(kz[0], a1, b1, A),
-             WeightedKummerTail(kz[1] * phase, a2, b2, A)]
-    denom = [WeightedKummerTail(kw[0], a1, b1, A),
-             WeightedKummerTail(kw[1] * phase, a2, b2, A)]
-    c_closed = kummer_ratio_limit(numer, denom)
+    tails = np.array([gamma(b1) / gamma(a1) * A ** (a1 - b1),
+                      phase * gamma(b2) / gamma(a2) * A ** (a2 - b2)])
+    c_closed = (kz @ tails).real / (kw @ tails).real
 
-    xi = shift_tilt(Linear(C), u)
-    grid = LogGrid(7.0, 1501)
-    w = ode_solve_crash(crash_model, xi, grid, "W")
-    z = ode_solve_crash(crash_model, xi, grid, "Z")
-    c_table = ratio_limit(z, w, grid)
-    assert c_table == pytest.approx(c_closed, rel=1e-4)
+    core = RecessiveBasis(crash_model, Linear(C), 0.4, 44.0)
+    assert core.tail_constant(math.log(u)) == pytest.approx(c_closed, rel=1e-9)
