@@ -3,8 +3,11 @@
 Three analytic routes cover the supported model/discount combinations:
 
 * Black-Scholes models price through two solutions of the second-order
-  equation sigma^2 s^2/2 h'' + mu s h' - omega(s) h = 0 (an inner branch
-  used below the stopping interval and an outer branch above it).
+  equation sigma^2 s^2/2 h'' + mu s h' - omega(s) h = 0: an inner branch
+  used below the stopping interval and an outer branch above it.  Each is
+  one dense integration of (log h, d log h/d log s) per direction from its
+  anchor, run on the branch's first read and interpolated for every later
+  one, so the inner branch costs nothing where omega >= 0 forces l* = 0.
 * Exponential-jump models with nonnegative discounts stop on [0, u*].  Above
   u the value is a recessive solution of the renewal state system, fixed by
   the generator equation at u+ (memoryless overshoot average) and, when
@@ -29,11 +32,11 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq, minimize_scalar
+from scipy.special import hyp2f1
 
 from .discount import DiscountFn, Rational, check_flat_below_one
 from .levy import LevyModel, laplace_exponent, psi_roots
 from .scale import RecessiveBasis, forward_state
-from .specfun import gauss_2f1, gauss_2f1_deriv
 
 __all__ = [
     "PricingProblem",
@@ -107,23 +110,22 @@ class PricingResult:
 # ---------------------------------------------------------------------------
 
 class HBranch:
-    """One solution of the h-equation in log coordinates.
+    """One solution h of the h-equation, as (log h, d log h/dx) in x = log s.
 
-    Carries (log h, d log h/dx), integrated both ways from an anchor where
-    value and slope are known; a dense table serves root scans and exact
-    re-integration serves final curve evaluation.
+    The pair starts from an anchor where both are known and is integrated
+    once, on the first read, up to x_hi and down to x_lo (DOP853, dense
+    output; a direction whose end is the anchor is skipped).  Every read
+    interpolates that output; a read outside [x_lo, x_hi] (widened to take
+    in the anchor) raises ValueError.
     """
 
     def __init__(self, model: LevyModel, omega: DiscountFn,
                  x_anchor: float, log_h0: float, dlog0: float,
-                 x_lo: float, x_hi: float, n_dense: int = 2049):
-        self.model = model
-        self.omega = omega
-        self.x_anchor = x_anchor
-        self.log_h0 = log_h0
-        self.dlog0 = dlog0
-        xs, lh, dl = self._integrate(np.linspace(x_lo, x_hi, n_dense))
-        self.x_nodes, self.log_h, self.dlog = xs, lh, dl
+                 x_lo: float, x_hi: float):
+        self.model, self.omega = model, omega
+        self.x_anchor, self.y0 = x_anchor, [log_h0, dlog0]
+        self.x_lo, self.x_hi = min(x_lo, x_anchor), max(x_hi, x_anchor)
+        self._pieces = None
 
     def _rhs(self, x, y):
         sig2 = self.model.sigma ** 2
@@ -131,42 +133,37 @@ class HBranch:
         q = float(self.omega(math.exp(x)))
         return [d, (2.0 / sig2) * q - (2.0 * self.model.zeta / sig2) * d - d * d]
 
-    def _integrate(self, x_targets: np.ndarray):
-        """(x, log h, dlog) at the requested points, exact to solver tolerance."""
-        x_targets = np.unique(np.asarray(x_targets, dtype=float))
-        lh = np.empty_like(x_targets)
-        dl = np.empty_like(x_targets)
-        y0 = [self.log_h0, self.dlog0]
-        tiny = 1e-13 * max(1.0, abs(self.x_anchor))
-        at_anchor = np.abs(x_targets - self.x_anchor) <= tiny
-        lh[at_anchor] = y0[0]
-        dl[at_anchor] = y0[1]
-        for sign in (+1, -1):
-            if sign > 0:
-                mask = x_targets > self.x_anchor + tiny
-                pts = x_targets[mask]
-            else:
-                mask = x_targets < self.x_anchor - tiny
-                pts = x_targets[mask][::-1]
-            if pts.size == 0:
-                continue
-            sol = solve_ivp(self._rhs, (self.x_anchor, pts[-1]), y0, t_eval=pts,
-                            method="DOP853", rtol=1e-11, atol=1e-12)
-            if not sol.success:
-                raise RuntimeError(f"h-equation integration failed: {sol.message}")
-            idx = np.searchsorted(x_targets, sol.t)
-            lh[idx] = sol.y[0]
-            dl[idx] = sol.y[1]
-        return x_targets, lh, dl
+    def _solve(self, x_end: float):
+        if x_end == self.x_anchor:
+            return None
+        sol = solve_ivp(self._rhs, (self.x_anchor, x_end), self.y0, method="DOP853",
+                        rtol=1e-11, atol=1e-12, dense_output=True)
+        if not sol.success:
+            raise RuntimeError(f"h-equation integration failed: {sol.message}")
+        return sol.sol
+
+    def _read(self, s) -> np.ndarray:
+        """(log h, d log h/dx) at the prices s, stacked on a leading axis of 2."""
+        s = np.asarray(s, dtype=float)
+        x = np.log(s).ravel()
+        tiny = 1e-12 * max(1.0, abs(self.x_lo), abs(self.x_hi))
+        if np.any(x < self.x_lo - tiny) or np.any(x > self.x_hi + tiny):
+            raise ValueError(f"price outside the h-branch range "
+                             f"[{math.exp(self.x_lo):.6g}, {math.exp(self.x_hi):.6g}]")
+        if self._pieces is None:
+            down, up = self._solve(self.x_lo), self._solve(self.x_hi)
+            # a skipped direction is served by the other one, which starts there
+            self._pieces = (up if down is None else down, down if up is None else up)
+        down, up = self._pieces
+        on_up = x >= self.x_anchor
+        out = np.empty((2, x.size))
+        for piece, sel in ((up, on_up), (down, ~on_up)):
+            if np.any(sel):
+                out[:, sel] = piece(x[sel])
+        return out.reshape((2,) + s.shape)
 
     def log_h_at(self, s):
-        return np.interp(np.log(s), self.x_nodes, self.log_h)
-
-    def log_h_exact(self, s):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        xt = np.log(s)
-        xs_u, lh, _ = self._integrate(xt)
-        return lh[np.searchsorted(xs_u, xt)]
+        return self._read(s)[0]
 
     def ratio(self, s_num, s_den):
         """h(s_num)/h(s_den) without leaving log space."""
@@ -174,7 +171,7 @@ class HBranch:
 
     def dlog_ds(self, s):
         """h'(s)/h(s)."""
-        return np.interp(np.log(s), self.x_nodes, self.dlog) / np.asarray(s, dtype=float)
+        return self._read(s)[1] / np.asarray(s, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -206,12 +203,13 @@ def rational_bs_branches(model: LevyModel, omega: Rational):
 
     def h(i, s):
         p = params[i]
-        return s ** p.d * gauss_2f1(p.a, p.b, p.c, -s)
+        return s ** p.d * hyp2f1(p.a, p.b, p.c, -s)
 
     def h_deriv(i, s):
+        # d/dz 2F1(a, b; c; z) = (a b / c) 2F1(a + 1, b + 1; c + 1; z)
         p = params[i]
-        f = gauss_2f1(p.a, p.b, p.c, -s)
-        fp = -gauss_2f1_deriv(p.a, p.b, p.c, -s)
+        f = hyp2f1(p.a, p.b, p.c, -s)
+        fp = -p.a * p.b / p.c * hyp2f1(p.a + 1.0, p.b + 1.0, p.c + 1.0, -s)
         return p.d * s ** (p.d - 1.0) * f + s ** p.d * fp
 
     return params, h, h_deriv
@@ -226,12 +224,16 @@ def solve_h_ode(model: LevyModel, omega: DiscountFn,
                 s_range: tuple = (0.05, 40.0)) -> tuple:
     """Inner and outer solutions of the h-equation as HBranch objects.
 
-    The inner branch continues the larger-exponent power solution from
-    s -> 0 and the outer branch the decaying one from s -> infinity.  For
-    the rational discount family with G < 1/2 both branches are anchored to
-    their closed hypergeometric forms, which the integration then
-    reproduces; for G >= 1/2 the outer 2F1 turns negative (c = 1 - 2G <= 0)
-    and the generic anchors are used.
+    Both branches cover [s_lo/4, 4 s_hi].  The inner branch continues the
+    larger-exponent power solution from s -> 0 and the outer branch the
+    decaying one from s -> infinity; the generic anchors are those powers
+    for the rate at s_lo/4 and at 4 s_hi.  For the rational discount family
+    with G < 1/2 both branches are anchored to their closed hypergeometric
+    forms (scipy's hyp2f1) at s = 1 and s = max(2, s_hi/2), which the
+    integration then reproduces; for G >= 1/2 the outer 2F1 turns negative
+    (c = 1 - 2G <= 0) and the generic anchors are used.  Nothing is
+    integrated here: each branch integrates once, on its first read, so a
+    branch that is never read costs nothing.
     """
     if model.sigma <= 0.0 or model.has_jumps:
         raise ValueError("h-equation route requires a Black-Scholes model")
@@ -241,61 +243,58 @@ def solve_h_ode(model: LevyModel, omega: DiscountFn,
     x_lo, x_hi = math.log(s_lo / 4.0), math.log(s_hi * 4.0)
     if _rational_closed_form(model, omega):
         _, h, h_deriv = rational_bs_branches(model, omega)
-        a_in, a_out = 1.0, max(2.0, 0.5 * s_hi)
-        inner = HBranch(model, omega, math.log(a_in), math.log(h(2, a_in)),
-                        a_in * h_deriv(2, a_in) / h(2, a_in), x_lo, x_hi)
-        outer = HBranch(model, omega, math.log(a_out), math.log(h(1, a_out)),
-                        a_out * h_deriv(1, a_out) / h(1, a_out), x_lo, x_hi)
-        return inner, outer
-    w_lo = float(omega(s_lo / 4.0))
-    disc_lo = zeta * zeta + 2.0 * sig2 * w_lo
-    if disc_lo < 0.0:
-        raise ValueError("discount too negative near zero for a finite value")
-    th_in = (-zeta + math.sqrt(disc_lo)) / sig2
-    w_hi = float(omega(s_hi * 4.0))
-    disc_hi = zeta * zeta + 2.0 * sig2 * w_hi
-    if disc_hi < 0.0:
-        raise ValueError("discount too negative at infinity for a finite value")
-    th_out = (-zeta - math.sqrt(disc_hi)) / sig2
-    inner = HBranch(model, omega, x_lo, 0.0, th_in, x_lo, x_hi)
-    outer = HBranch(model, omega, x_hi, 0.0, th_out, x_lo, x_hi)
+
+        def closed_form(i, a):
+            return HBranch(model, omega, math.log(a), math.log(h(i, a)),
+                           a * h_deriv(i, a) / h(i, a), x_lo, x_hi)
+
+        return closed_form(2, 1.0), closed_form(1, max(2.0, 0.5 * s_hi))
+
+    def power(s, sign, where):
+        """Exponent of the power solution for the rate frozen at s."""
+        disc = zeta * zeta + 2.0 * sig2 * float(omega(s))
+        if disc < 0.0:
+            raise ValueError(f"discount too negative {where} for a finite value")
+        return (-zeta + sign * math.sqrt(disc)) / sig2
+
+    inner = HBranch(model, omega, x_lo, 0.0, power(s_lo / 4.0, 1.0, "near zero"), x_lo, x_hi)
+    outer = HBranch(model, omega, x_hi, 0.0, power(s_hi * 4.0, -1.0, "at infinity"),
+                    x_lo, x_hi)
     return inner, outer
 
 
 def value_bs(problem: PricingProblem, b: Boundaries, s,
-             branches: Optional[tuple] = None, exact: bool = False):
-    """Piecewise Black-Scholes value for stopping interval [l, u]."""
+             branches: Optional[tuple] = None):
+    """Piecewise Black-Scholes value for stopping interval [l, u].
+
+    (K - l) h_in(s)/h_in(l) below l, K - s on [l, u] and (K - u)
+    h_out(s)/h_out(u) above u, read from the dense output of the branches
+    (built from the default range of the problem when none are given).
+    """
     if problem.model.has_jumps or problem.model.sigma <= 0.0:
         raise ValueError("value_bs requires a pure Black-Scholes model")
     if branches is None:
+        s_min = b.l / 16.0 if b.l > 0.0 else None
         branches = solve_h_ode(problem.model, problem.omega,
-                               s_range=_default_s_range(problem, b))
+                               s_range=_default_s_range(problem, s_min))
     inner, outer = branches
     K = problem.strike
     s = np.asarray(s, dtype=float)
     scalar = s.ndim == 0
     s = np.atleast_1d(s)
     out = K - s.astype(float)
-    below = s < b.l
-    above = s > b.u
-    if np.any(below):
-        if exact:
-            lh = inner.log_h_exact(np.append(s[below], b.l))
-            out[below] = np.exp(lh[:-1] - lh[-1]) * (K - b.l)
-        else:
-            out[below] = inner.ratio(s[below], b.l) * (K - b.l)
-    if np.any(above):
-        if exact:
-            lh = outer.log_h_exact(np.append(s[above], b.u))
-            out[above] = np.exp(lh[:-1] - lh[-1]) * (K - b.u)
-        else:
-            out[above] = outer.ratio(s[above], b.u) * (K - b.u)
+    for branch, sel, edge in ((inner, s < b.l, b.l), (outer, s > b.u, b.u)):
+        if np.any(sel):
+            out[sel] = branch.ratio(s[sel], edge) * (K - edge)
     return float(out[0]) if scalar else out
 
 
-def _default_s_range(problem: PricingProblem, b: Optional[Boundaries] = None) -> tuple:
+def _default_s_range(problem: PricingProblem, s_min: Optional[float] = None) -> tuple:
+    """(s_lo, s_hi) of the h-branches, which cover [s_lo/4, 4 s_hi]: the
+    smooth-fit scans read [0.005 K, K] and the value below l reads down to
+    s_min."""
     K = problem.strike
-    lo = 0.02 * K if b is None or b.l == 0.0 else min(0.02 * K, 0.25 * b.l)
+    lo = 0.02 * K if s_min is None else min(0.02 * K, 4.0 * s_min)
     return (lo, 2.2 * K)
 
 
@@ -738,6 +737,7 @@ def optimize_boundaries(problem: PricingProblem, n_curve: int = 512) -> PricingR
     K = problem.strike
     diagnostics = {}
     deriv_fn = None
+    s_grid = np.linspace(2.0 * K / n_curve, 2.0 * K, n_curve)
     if model.has_jumps:
         if model.sigma == 0.0 and model.mu <= 0.0:
             raise ValueError("finite-variation model needs positive drift")
@@ -753,42 +753,33 @@ def optimize_boundaries(problem: PricingProblem, n_curve: int = 512) -> PricingR
             value_fn = lambda s: ts.value(bounds, s)
             diagnostics["fit_condition"] = "grid-search"
     else:
-        branches = solve_h_ode(model, omega, s_range=_default_s_range(problem))
+        # where l* > 0 is possible the value below l is read on the curve and
+        # down to 1e-4 K
+        s_min = None if omega.is_nonnegative else min(1e-4 * K, s_grid[0])
+        branches = solve_h_ode(model, omega, s_range=_default_s_range(problem, s_min))
         inner, outer = branches
-
-        def fit_fn_u(u):
-            return 1.0 + (K - u) * float(outer.dlog_ds(u))
-
-        def fit_fn_l(l):
-            return 1.0 + (K - l) * float(inner.dlog_ds(l))
-
-        u_star = _root_scan(fit_fn_u, 0.02 * K, 0.999 * K)
+        # smooth fit V'(b) = -1 with V = (K - b) h/h(b): 1 + (K - b) h'(b)/h(b) = 0
+        u_star = _root_scan(lambda u: 1.0 + (K - u) * outer.dlog_ds(u), 0.02 * K, 0.999 * K)
         if u_star is None:
             raise RuntimeError("no smooth-fit boundary found; exercise degenerate")
         l_star = 0.0
         if not omega.is_nonnegative:
-            l_star = _root_scan(fit_fn_l, 0.005 * K, u_star) or 0.0
+            l_star = _root_scan(lambda l: 1.0 + (K - l) * inner.dlog_ds(l),
+                                0.005 * K, u_star) or 0.0
         bounds = Boundaries(l_star, u_star)
-        value_fn = lambda s: value_bs(problem, bounds, s, branches=branches,
-                                      exact=True)
+        value_fn = lambda s: value_bs(problem, bounds, s, branches=branches)
 
         def deriv_fn(s):
             s = np.atleast_1d(np.asarray(s, dtype=float))
             out = np.full_like(s, -1.0)
-            below = s < bounds.l
-            above = s > bounds.u
-            if np.any(below):
-                out[below] = (value_bs(problem, bounds, s[below], branches=branches)
-                              * inner.dlog_ds(s[below]))
-            if np.any(above):
-                out[above] = (value_bs(problem, bounds, s[above], branches=branches)
-                              * outer.dlog_ds(s[above]))
+            for branch, sel in ((inner, s < bounds.l), (outer, s > bounds.u)):
+                if np.any(sel):
+                    out[sel] = value_fn(s[sel]) * branch.dlog_ds(s[sel])
             return out
 
         diagnostics["h_route"] = "rational-2f1" if _rational_closed_form(model, omega) \
             else "generic"
         diagnostics["fit_condition"] = "smooth"
-    s_grid = np.linspace(2.0 * K / n_curve, 2.0 * K, n_curve)
     values = np.asarray(value_fn(s_grid), dtype=float)
     if bounds.u >= 0.999 * K:
         diagnostics["degenerate_u"] = True
@@ -802,9 +793,13 @@ def optimize_boundaries(problem: PricingProblem, n_curve: int = 512) -> PricingR
 
 
 def _root_scan(f, lo, hi, n=192):
+    """First sign change of f on n nodes of [lo, hi], polished by brentq.
+
+    f takes the whole node array in one call and scalars in the polish.
+    """
     xs = np.linspace(lo, hi, n)
-    vals = np.array([f(x) for x in xs])
+    vals = np.asarray(f(xs), dtype=float)
     for x0, x1, v0, v1 in zip(xs[:-1], xs[1:], vals[:-1], vals[1:]):
         if np.isfinite(v0) and np.isfinite(v1) and v0 * v1 < 0.0:
-            return brentq(f, x0, x1, xtol=1e-12)
+            return brentq(lambda x: float(f(x)), x0, x1, xtol=1e-12)
     return None

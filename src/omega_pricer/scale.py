@@ -310,6 +310,8 @@ class RecessiveBasis:
         m = self.order = len(g)
         self.fn, self.gammas, self.upsilons = fn, g, ups
         self.y_lo = math.log(s_lo)
+        while math.exp(self.y_lo) < s_lo:  # never read omega below s_lo
+            self.y_lo = math.nextafter(self.y_lo, math.inf)
         self.y_top = math.log(s_hi)
 
         def rhs(y, v):
@@ -362,10 +364,11 @@ class RecessiveBasis:
         """m x (m-1) matrix of (F, F', ...) at y+ for the basis of y's chunk.
 
         F' = (ups gamma) . P + omega W(0) F and, for sigma > 0 where W(0) = 0,
-        F'' = (ups gamma^2) . P + omega W'(0+) F, with omega read at e^y.
+        F'' = (ups gamma^2) . P + omega W'(0+) F, with omega read at e^y (at
+        s_lo for y within rounding below the range).
         """
         p = self.state(y)
-        w = float(self.fn(math.exp(y)))
+        w = float(self.fn(math.exp(max(y, self.y_lo))))
         ug = self.upsilons * self.gammas
         f = self.upsilons @ p
         jet = [f, ug @ p + w * self.upsilons.sum() * f]
@@ -429,16 +432,18 @@ def build_scale_table(model: LevyModel, xi: LogDiscount, grid: LogGrid, *,
 
     W, Z and H are forward solutions of the renewal state system; H uses the
     roots of psi - c for the flat level c of xi at and below x = 0, which the
-    caller certifies.  c comes from the recessive basis over the table's
-    range, read at x = 0: the basis starts _CORE_MARGIN above x_max, and the
-    error of that start decays over the whole span down to x = 0.
+    caller certifies.  c comes from the recessive basis read at x = 0: the
+    basis starts _CORE_MARGIN above the top of its range, and the error of
+    that start decays over the whole span down to x = 0, so the range is the
+    table's [0, x_max] but never shorter than [0, _CORE_MARGIN].
     """
     if want_h and flat_level is None:
         raise ValueError("H table requires the flat-below-one certificate level")
     w = ode_solve_crash(model, xi, grid, "W")
     z = ode_solve_crash(model, xi, grid, "Z")
     u = math.exp(xi.shift)
-    c = RecessiveBasis(model, xi.base, u, u * math.exp(grid.x_max)).tail_constant(xi.shift)
+    top = u * math.exp(max(grid.x_max, _CORE_MARGIN))
+    c = RecessiveBasis(model, xi.base, u, top).tail_constant(xi.shift)
     hh = None
     if want_h:
         dec = psi_roots(model, flat_level)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from conftest import kummer_tail_constant
 
 from omega_pricer.cli import EXIT_CONFIG, EXIT_OK, load_config, main, run
 
@@ -148,6 +149,19 @@ def test_scale_task_dumps_table(tmp_path):
     assert header == "x,W,Z,H"
     assert rows[0, 1] == pytest.approx(1.0 / 2.05, rel=1e-9)  # W(0) = 1/mu
     assert rows[0, 2] == 1.0
+
+
+def test_scale_task_short_table_tail_constant(tmp_path, crash_model):
+    """The tail constant does not depend on the table length: at x_max = 0.25
+    it matches the Kummer closed form at u = 1 as a long table does."""
+    cfg = load_config(preset="crash_linear")
+    cfg["task"]["task"] = "scale"
+    cfg["numerics"]["grid_n"] = 65
+    cfg["numerics"]["x_max"] = 0.25
+    assert run(cfg, tmp_path, quiet=True) == EXIT_OK
+    c_zw = float(_read_summary(tmp_path / "summary.txt")["c_zw"])
+    # the preset's model is the crash_model fixture, its rate Linear(0.1)
+    assert c_zw == pytest.approx(kummer_tail_constant(crash_model, 0.1, 1.0), rel=1e-8)
 
 
 def test_mc_check_task(tmp_path):

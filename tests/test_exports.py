@@ -8,7 +8,7 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(omega_pricer.__path__))
 
 
 def test_modules_found():
-    assert {"cli", "discount", "levy", "mc", "pricer", "scale", "specfun"} <= set(MODULES)
+    assert {"cli", "discount", "levy", "mc", "pricer", "scale"} <= set(MODULES)
 
 
 @pytest.mark.parametrize("module", MODULES)

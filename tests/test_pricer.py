@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from omega_pricer import Constant, LevyModel, Linear, Rational, Step, Tabulated, shift_tilt
+import omega_pricer.pricer as pricer_module
+from omega_pricer import (Constant, LevyModel, Linear, LogArea, Rational, Step, Tabulated,
+                          shift_tilt)
 from omega_pricer.levy import phi_right_inverse, psi_roots
 from omega_pricer.pricer import (
     Boundaries,
@@ -16,6 +18,7 @@ from omega_pricer.pricer import (
     value_bs,
     value_crash_one_sided,
     value_two_sided,
+    _CrashValuation,
     _TwoSidedValuation,
 )
 from omega_pricer.scale import classical_w, classical_z
@@ -57,14 +60,14 @@ def test_h_branches_match_hypergeometric_forms(bs_model):
     s = np.linspace(1.0, 15.0, 57)
     anchor = 8.0
     for branch, i in ((inner, 2), (outer, 1)):
-        got = branch.log_h_exact(np.append(s, anchor))
+        got = branch.log_h_at(np.append(s, anchor))
         ref = np.array([h(i, sv) for sv in s])
         ratio = np.exp(got[:-1] - got[-1])
         assert np.max(np.abs(ratio / (ref / h(i, anchor)) - 1.0)) < 1e-6
 
 
 def test_h_branch_ode_residual(bs_model):
-    """Collocation residual of the returned tables against the h-equation."""
+    """Collocation residual of the branches' dense output against the h-equation."""
     omega = Rational(C=0.001, D=0.01)
     inner, outer = solve_h_ode(bs_model, omega)
     sig2 = bs_model.sigma ** 2
@@ -73,12 +76,41 @@ def test_h_branch_ode_residual(bs_model):
     for branch in (inner, outer):
         for x in (0.5, 1.5, 2.2):
             xs = x + delta * np.arange(-2, 3)
-            _, _, dl = branch._integrate(xs)
+            dl = branch.dlog_ds(np.exp(xs)) * np.exp(xs)
             dprime = (-dl[4] + 8 * dl[3] - 8 * dl[1] + dl[0]) / (12 * delta)
             d = dl[2]
             resid = 0.5 * sig2 * (dprime + d * d) + zeta * d \
                 - float(omega(np.exp(x)))
             assert abs(resid) < 1e-8
+
+
+@pytest.mark.parametrize("omega, solves", [
+    (Constant(0.05), 1), (Linear(0.01), 1), (LogArea(20.0), 1), (Rational(C=0.001, D=0.01), 4)],
+    ids=["constant", "linear", "log_area", "rational"])
+def test_h_branches_integrate_once(bs_model, monkeypatch, omega, solves):
+    """One integration per branch direction actually read: the outer branch
+    alone (anchored at the top, one direction) where omega >= 0 forces
+    l* = 0; both branches, both ways from their 2F1 anchors, for the
+    rational rate."""
+    calls = []
+    real = pricer_module.solve_ivp
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pricer_module, "solve_ivp", counting)
+    optimize_boundaries(PricingProblem(bs_model, omega, 20.0))
+    assert len(calls) == solves, calls
+
+
+def test_bs_value_beyond_branch_range_raises(classical_result):
+    """The branches cover up to 4 s_hi = 8.8 K; beyond it the value raises
+    instead of extrapolating the dense output."""
+    top = 4.0 * 2.2 * 20.0
+    assert classical_result.value_fn(np.array([0.999 * top]))[0] > 0.0
+    with pytest.raises(ValueError):
+        classical_result.value_fn(np.array([1.001 * top]))
 
 
 def test_value_bs_inside_is_payoff(bs_model):
@@ -197,6 +229,20 @@ def test_tabulated_knots_exactly_cover_the_range(crash_model, strike):
         crash_model, Tabulated(knots, tuple(0.1 * k for k in knots)), strike), n_curve=64)
     lin = optimize_boundaries(PricingProblem(crash_model, Linear(0.1), strike), n_curve=64)
     assert tab.u_star == pytest.approx(lin.u_star, rel=1e-9)
+
+
+@pytest.mark.parametrize("strike", [1.04, 1.1, 20.0])
+def test_recessive_basis_never_reads_below_its_range(crash_model, strike):
+    """Knots exactly on [0.02 K, 2.2 K e^3]: exp(log(0.02 K)) rounds below
+    0.02 K for K = 1.04 and 1.1, and neither the basis integration nor the
+    fit at the scan's first barrier u = 0.02 K may read omega there."""
+    knots = (0.02 * strike, 2.2 * strike * np.exp(3.0))
+    gaps = []
+    for omega in (Tabulated(knots, tuple(0.1 * k for k in knots)), Linear(0.1)):
+        val = _CrashValuation(PricingProblem(crash_model, omega, strike),
+                              0.02 * strike, 2.2 * strike)
+        gaps.append([val.fit_gap(u) for u in np.linspace(0.02 * strike, 0.995 * strike, 5)])
+    assert np.allclose(gaps[0], gaps[1], rtol=1e-9, atol=1e-12)
 
 
 def test_step_value_beyond_range_raises(crash_model):
