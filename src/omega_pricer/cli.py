@@ -253,10 +253,11 @@ def run(cfg: dict, out_dir: Path, quiet: bool = False) -> int:
             for k, v in result.fit.items():
                 summary[k] = f"{v:.6e}"
             summary["convexity_margin"] = f"{result.diagnostics['convexity_margin']:.6e}"
-            if result.l_star == 0.0 or not model.has_jumps:
-                hjb = hjb_residual(result, problem)
-                summary["hjb_continuation_sup"] = f"{hjb['continuation_sup']:.6e}"
-                summary["hjb_stopping_violation"] = f"{hjb['stopping_violation']:.6e}"
+            if "l_condition" in result.diagnostics:
+                summary["l_condition"] = result.diagnostics["l_condition"]
+            hjb = hjb_residual(result, problem)
+            summary["hjb_continuation_sup"] = f"{hjb['continuation_sup']:.6e}"
+            summary["hjb_stopping_violation"] = f"{hjb['stopping_violation']:.6e}"
             if task == "price":
                 emit_figure_data(result, problem, out_dir / "value_curve.csv")
                 summary["curve_file"] = "value_curve.csv"

@@ -18,6 +18,9 @@ Three analytic routes cover the supported model/discount combinations:
   function H, one forward integration of the renewal state system of
   psi - c from the level s = 1 below which the rate is the flat c; above u
   it uses the same down-passage and creeping factors as the one-sided route.
+  l enters the value above u only through the overshoot gain B(l), so l*
+  maximises B once, for every u, and u* is the one-sided fit root with the
+  landing mean that l* gives.
 
 Calls are handled exclusively through the put-call transform.
 """
@@ -30,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq, minimize_scalar
 from scipy.special import hyp2f1
 
@@ -302,6 +305,14 @@ def _default_s_range(problem: PricingProblem, s_min: Optional[float] = None) -> 
 # Exponential-jump one-sided value (l* = 0)
 # ---------------------------------------------------------------------------
 
+def _overshoot_mean(problem: PricingProblem, u: float, gain: float = 0.0) -> float:
+    """Mean value at the landing u e^{-Y}, Y ~ Exp(phi), of a jump from u:
+    K - u phi/(phi+1) for the payoff K - w, plus u^{-phi} B(l) when the
+    value below l continues (gain = B(l), see _TwoSidedValuation)."""
+    phi = problem.model.phi
+    return problem.strike - u * phi / (phi + 1.0) + gain * u ** (-phi)
+
+
 class _CrashValuation:
     """Down-passage data for the jump value, shared by every barrier u.
 
@@ -340,20 +351,18 @@ class _CrashValuation:
             creep = self.core.evaluate(math.log(u), self._coef(u, 1.0, 0.0)[1], y)
         return total, creep
 
-    def fit_gap(self, u: float) -> float:
+    def fit_gap(self, u: float, gbar: float) -> float:
         """Fit residual at barrier u: V(u+) - (K - u) for sigma = 0 (continuous
-        fit), u (V'(u+) + 1) for sigma > 0 (smooth fit)."""
+        fit), u (V'(u+) + 1) for sigma > 0 (smooth fit), where gbar is the mean
+        value at the jump landing below u."""
         K = self.problem.strike
-        model = self.problem.model
-        gbar = K - u * model.phi / (model.phi + 1.0)
         basis, coef = self._coef(u, K - u, gbar)
-        if model.sigma == 0.0:
+        if self.problem.model.sigma == 0.0:
             return float(basis[0] @ coef) - (K - u)
         return float(basis[1] @ coef) + u
 
     def value(self, u: float, s) -> np.ndarray:
         K = self.problem.strike
-        phi = self.problem.model.phi
         s = np.atleast_1d(np.asarray(s, dtype=float))
         out = K - s.astype(float)
         above = s > u
@@ -361,7 +370,7 @@ class _CrashValuation:
             x = np.log(s[above] / u)
             total, creep = self.passage_split(u, x)
             jumped = total - creep
-            out[above] = (K - u * phi / (phi + 1.0)) * jumped + (K - u) * creep
+            out[above] = _overshoot_mean(self.problem, u) * jumped + (K - u) * creep
         return out
 
 
@@ -381,15 +390,21 @@ def value_crash_one_sided(problem: PricingProblem, u: float, s,
     return float(out[0]) if np.ndim(s) == 0 else out
 
 
-def _crash_fit_root(problem: PricingProblem, valuation: _CrashValuation) -> float:
-    """One-sided boundary: the first root of valuation.fit_gap on (0, K)."""
+def _crash_fit_root(problem: PricingProblem, valuation: _CrashValuation,
+                    lo: float, gain: float = 0.0) -> float:
+    """Upper boundary: the first root of valuation.fit_gap on [lo, 0.995 K]
+    for the landing mean _overshoot_mean(problem, u, gain)."""
     K = problem.strike
-    us = np.linspace(0.02 * K, 0.995 * K, 48)
-    vals = [valuation.fit_gap(x) for x in us]
+
+    def gap(u):
+        return valuation.fit_gap(u, _overshoot_mean(problem, u, gain))
+
+    us = np.linspace(lo, 0.995 * K, 48)
+    vals = [gap(x) for x in us]
     for x0, x1, v0, v1 in zip(us[:-1], us[1:], vals[:-1], vals[1:]):
         if v0 * v1 < 0.0:
-            return brentq(valuation.fit_gap, x0, x1, xtol=1e-10)
-    raise RuntimeError("no fit root for the one-sided boundary in (0, K); "
+            return brentq(gap, x0, x1, xtol=1e-10)
+    raise RuntimeError(f"no fit root for the upper boundary in [{lo:.6g}, {0.995 * K:.6g}]; "
                        "stopping set degenerate")
 
 
@@ -406,6 +421,10 @@ class _TwoSidedValuation:
     started at y = 0 from H = 1 and integrated once up to log(2.2 K).  The
     same integration carries int_0^y H(w) e^{phi w} dw for the overshoot
     average.  Above u the value uses the one-sided passage factors.
+
+    The overshoot average splits as K - u phi/(phi+1) + u^{-phi} B(l) (see
+    overshoot_gain), and above u the value is nondecreasing in it, so the
+    best l maximises B whatever u is.
     """
 
     def __init__(self, problem: PricingProblem):
@@ -443,25 +462,25 @@ class _TwoSidedValuation:
             out[pos] = self._forward(y[pos])[0]
         return out
 
-    def overshoot_average(self, l: float, u: float) -> float:
-        """E[G(Y)] for Y ~ Exp(phi): landing payoff or continuation below l."""
+    def overshoot_gain(self, l: float) -> float:
+        """B(l) = phi (K - l) I(l)/H(l) - K l^phi + phi/(phi+1) l^{phi+1} with
+        I(l) = int_{-inf}^{log l} H(w) e^{phi w} dw: what continuing below l
+        adds to the overshoot average, times u^phi (0 at l = 0)."""
         K = self.problem.strike
         phi = self.problem.model.phi
         if l <= 0.0:
-            return K - u * phi / (phi + 1.0)
-        y_star = math.log(u / l)
-        part_in = (K * (1.0 - math.exp(-phi * y_star))
-                   - u * phi / (phi + 1.0) * (1.0 - math.exp(-(phi + 1.0) * y_star)))
-        # continuation part: phi u^{-phi} int_{-inf}^{log l} H(w) e^{phi w} dw
+            return 0.0
         log_l = math.log(l)
         if log_l <= 0.0:
-            h_l = math.exp(self.phi_c * log_l)
-            integral = math.exp((self.phi_c + phi) * log_l) / (self.phi_c + phi)
+            i_over_h = l ** phi / (self.phi_c + phi)
         else:
             h_l, tail = self._forward(log_l)
-            integral = 1.0 / (self.phi_c + phi) + tail
-        part_below = (K - l) / h_l * phi * u ** (-phi) * integral
-        return part_in + part_below
+            i_over_h = (1.0 / (self.phi_c + phi) + tail) / h_l
+        return float(phi * (K - l) * i_over_h - K * l ** phi + phi / (phi + 1.0) * l ** (phi + 1.0))
+
+    def overshoot_average(self, l: float, u: float) -> float:
+        """E[G(Y)] for Y ~ Exp(phi): landing payoff or continuation below l."""
+        return _overshoot_mean(self.problem, u, self.overshoot_gain(l))
 
     def value(self, b: Boundaries, s) -> np.ndarray:
         K = self.problem.strike
@@ -494,57 +513,43 @@ def value_two_sided(problem: PricingProblem, b: Boundaries, s,
     return float(out[0]) if np.ndim(s) == 0 else out
 
 
-def _two_sided_boundaries(problem: PricingProblem, valuation: _TwoSidedValuation,
-                          n_u: int = 48, n_l: int = 48) -> Boundaries:
-    """Grid search with refinement over 0 <= l <= u <= K.
+def _two_sided_boundaries(problem: PricingProblem,
+                          valuation: _TwoSidedValuation) -> tuple:
+    """(Boundaries, diagnostics) of the two-sided jump route.
 
-    Above the interval the value depends on l only through the overshoot
-    average, so the l-search nests cheaply inside the u-search.
+    l* maximises the overshoot gain B on [0, K] (48-node scan, bounded
+    refine), once for every u; u* is then the first fit root above l* with
+    the overshoot average that l* gives.  The one-sided difference slopes of
+    B at l*, at steps h and h/100, tell a kink optimum (slopes keep their
+    value, as where omega jumps) from a smooth one (slopes shrink with h).
+    Raises RuntimeError when B peaks at an edge of the scan, when l* is not
+    a local maximum of B, or when u* <= l*.
     """
     K = problem.strike
-
-    def best_l(u):
-        ls = np.linspace(0.0, min(u, K), n_l)
-        vals = [valuation.overshoot_average(l, u) for l in ls]
-        j = int(np.argmax(vals))
-        lo = ls[max(0, j - 1)]
-        hi = ls[min(len(ls) - 1, j + 1)]
-        if hi - lo < 1e-12:
-            return float(ls[j])
-        res = minimize_scalar(lambda l: -valuation.overshoot_average(l, u),
-                              bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-7 * K})
-        return float(res.x)
-
-    s0 = 1.5 * K
-
-    def neg_value(u):
-        return -valuation.value(Boundaries(best_l(u), u), np.array([s0]))[0]
-
-    us = np.linspace(0.05 * K, 0.99 * K, n_u)
-    vals = [neg_value(u) for u in us]
-    j = int(np.argmin(vals))
-    if j in (0, n_u - 1):
-        raise RuntimeError(f"two-sided value at s = {s0:g} peaks at the edge u = {us[j]:.6g} "
-                           f"of the scan [{us[0]:.6g}, {us[-1]:.6g}]; no interior optimum")
-    lo, hi = us[max(0, j - 1)], us[min(n_u - 1, j + 1)]
-    res = minimize_scalar(neg_value, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-6 * K})
-    u_star = float(res.x)
-    l_star = best_l(u_star)
-
-    # polish by the continuity residual when it brackets a root near u*
-    def cont_resid(u):
-        vv = valuation.value(Boundaries(best_l(u), u), np.array([u * (1 + 1e-9)]))
-        return float(vv[0]) - (K - u)
-
-    span = 0.03 * K
-    r_lo, r_hi = cont_resid(max(u_star - span, 1e-6)), cont_resid(min(u_star + span, 0.999 * K))
-    if np.isfinite(r_lo) and np.isfinite(r_hi) and r_lo * r_hi < 0.0:
-        u_star = brentq(cont_resid, max(u_star - span, 1e-6),
-                        min(u_star + span, 0.999 * K), xtol=1e-10)
-        l_star = best_l(u_star)
-    return Boundaries(l_star, u_star)
+    gain = valuation.overshoot_gain
+    ls = np.linspace(0.0, K, 48)
+    j = int(np.argmax([gain(l) for l in ls]))
+    if j in (0, len(ls) - 1):
+        raise RuntimeError(f"overshoot gain peaks at the edge l = {ls[j]:.6g} of the "
+                           f"scan [0, {K:g}]; no interior lower boundary")
+    res = minimize_scalar(lambda l: -gain(l), bounds=(ls[j - 1], ls[j + 1]),
+                          method="bounded", options={"xatol": 1e-9 * K})
+    l_star = float(res.x)
+    b_star = gain(l_star)
+    h = 1e-4 * l_star
+    left = [(b_star - gain(l_star - d)) / d for d in (h, h / 100.0)]
+    right = [(gain(l_star + d) - b_star) / d for d in (h, h / 100.0)]
+    if not (left[0] > 0.0 > right[0]):
+        raise RuntimeError(f"l = {l_star:.10g} is not a local maximum of the overshoot "
+                           f"gain (slopes {left[0]:.3g} left, {right[0]:.3g} right)")
+    # a kink keeps its slopes (ratio near 1), a smooth maximum scales them by 1/100
+    shrink = max(abs(left[1] / left[0]), abs(right[1] / right[0]))
+    diagnostics = {"l_condition": "kink" if shrink > 0.1 else "smooth",
+                   "l_slopes": {"step": h, "left": left, "right": right}}
+    u_star = _crash_fit_root(problem, valuation._crash, max(0.02 * K, l_star), b_star)
+    if u_star <= l_star:
+        raise RuntimeError(f"upper boundary {u_star:.10g} not above l* = {l_star:.10g}")
+    return Boundaries(l_star, u_star), diagnostics
 
 
 # ---------------------------------------------------------------------------
@@ -605,10 +610,10 @@ def hjb_residual(result: PricingResult, problem: PricingProblem,
     """Scaled sup-norm of (A - omega)V over continuation samples.
 
     In the stopping region reports the variational-inequality side
-    max(A g - omega g, 0) instead.  Derivatives are central differences on
+    max(A V - omega g, 0) instead.  Derivatives are central differences on
     the stored curve; the jump expectation integrates the curve against the
-    exponential jump law with the exact K - s extension below the stopping
-    boundary (one-sided stopping only).
+    exponential jump law above u, the payoff K - s in closed form on [l, u]
+    and, below l > 0, result.value_fn by quadrature.
     """
     model, omega, K = problem.model, problem.omega, problem.strike
     s = result.s_grid
@@ -624,12 +629,23 @@ def hjb_residual(result: PricingResult, problem: PricingProblem,
     def v_at(x):
         return np.interp(x, s, v)
 
+    def excess_integral(w_top):
+        """int_0^{w_top} (V(w) - (K - w)) w^{phi-1} dw for w_top <= l."""
+        return quad(lambda w: (float(result.value_fn(np.array([w]))[0]) - (K - w))
+                    * w ** (phi - 1.0), 0.0, w_top, epsabs=1e-13, epsrel=1e-10,
+                    limit=200)[0]
+
+    excess_l = excess_integral(l_star) if l_star > 0.0 and lam > 0.0 else 0.0
+
+    def excess_below_l(si):
+        """phi s^{-phi} int_0^{min(s, l)} (V(w) - (K - w)) w^{phi-1} dw."""
+        return phi / si ** phi * (excess_l if si >= l_star else excess_integral(si))
+
     def jump_term(si, vi):
         if lam == 0.0:
             return 0.0
-        if l_star > 0.0:
-            raise NotImplementedError("HJB diagnostics cover one-sided jump stopping")
-        # E V(s e^{-Y}) = phi s^{-phi} int_0^s V(w) w^{phi-1} dw
+        # E V(s e^{-Y}) = phi s^{-phi} int_0^s V(w) w^{phi-1} dw, with V = K - w on
+        # [0, min(s, u)] in closed form and the excess over it below l added
         w_in = min(si, u_star)
         analytic = (w_in / si) ** phi * (K - w_in * phi / (phi + 1.0)) if w_in > 0 else 0.0
         numeric = 0.0
@@ -637,7 +653,7 @@ def hjb_residual(result: PricingResult, problem: PricingProblem,
             wgrid = np.linspace(u_star, si, 257)
             vals = v_at(wgrid) * wgrid ** (phi - 1.0)
             numeric = phi / si ** phi * np.trapezoid(vals, wgrid)
-        return lam * (analytic + numeric - vi)
+        return lam * (analytic + numeric + excess_below_l(si) - vi)
 
     worst_cont = 0.0
     worst_stop = 0.0
@@ -646,7 +662,7 @@ def hjb_residual(result: PricingResult, problem: PricingProblem,
             continue
         vi = float(v_at(si))
         if l_star <= si <= u_star:
-            gen = -mu * si + (lam * si / (phi + 1.0) if lam > 0.0 else 0.0)
+            gen = -mu * si + (lam * (si / (phi + 1.0) + excess_below_l(si)) if lam > 0.0 else 0.0)
             resid = gen - float(omega(si)) * (K - si)
             worst_stop = max(worst_stop, resid)
             continue
@@ -743,15 +759,15 @@ def optimize_boundaries(problem: PricingProblem, n_curve: int = 512) -> PricingR
             raise ValueError("finite-variation model needs positive drift")
         if omega.is_nonnegative:
             val = _CrashValuation(problem, 0.02 * K, 2.2 * K)
-            u_star = _crash_fit_root(problem, val)
-            diagnostics["fit_condition"] = "continuous" if model.sigma == 0.0 else "smooth"
+            u_star = _crash_fit_root(problem, val, 0.02 * K)
             bounds = Boundaries(0.0, u_star)
             value_fn = lambda s: val.value(u_star, s)
         else:
             ts = _TwoSidedValuation(problem)
-            bounds = _two_sided_boundaries(problem, ts)
+            bounds, found = _two_sided_boundaries(problem, ts)
+            diagnostics.update(found)
             value_fn = lambda s: ts.value(bounds, s)
-            diagnostics["fit_condition"] = "grid-search"
+        diagnostics["fit_condition"] = "continuous" if model.sigma == 0.0 else "smooth"
     else:
         # where l* > 0 is possible the value below l is read on the curve and
         # down to 1e-4 K

@@ -294,11 +294,15 @@ class RecessiveBasis:
     solution dominates as s -> infinity (like s^Phi(q) where the rate tends to
     q); the m - 1 dimensional subspace of the others (the recessive solutions)
     holds every passage factor.  The subspace is integrated once, backward in y
-    from the frozen-coefficient recessive eigenvectors at log(s_hi) + margin, in
-    chunks re-orthonormalised by QR (continuous orthonormalisation, Conte 1966)
-    so the basis never loses rank.  Each chunk keeps its dense output and its R
-    factor, so a recessive solution given by its coefficients at one level is
-    known at every level above it.
+    from the frozen-coefficient recessive eigenvectors at log(s_hi) + margin.
+    For sigma > 0 (m = 3) it runs in chunks re-orthonormalised by QR
+    (continuous orthonormalisation, Conte 1966) so the basis never loses rank;
+    each chunk keeps its dense output and its R factor, so a recessive solution
+    given by its coefficients at one level is known at every level above it.
+    For sigma = 0 the single recessive column has no rank to lose (QR would
+    only rescale it) and its frozen exponent lies in (-phi, 0) where omega > 0,
+    so it is one integration, which raises OverflowError if the state leaves
+    double range.
     """
 
     def __init__(self, model: LevyModel, fn: DiscountFn, s_lo: float, s_hi: float):
@@ -334,13 +338,16 @@ class RecessiveBasis:
         rec = vec[:, by_re[:m - 1]]
         # real and imaginary parts span the same real subspace as a conjugate pair
         q = np.linalg.svd(np.hstack([rec.real, rec.imag]))[0][:, :m - 1]
-        n_chunks = max(1, int(math.ceil((y_hi - self.y_lo) / _CORE_CHUNK)))
+        n_chunks = 1 if m == 2 else max(1, int(math.ceil((y_hi - self.y_lo) / _CORE_CHUNK)))
         self._edges = np.linspace(y_hi, self.y_lo, n_chunks + 1)
         self._dense = []
         self._r = []
         for y0, y1 in zip(self._edges[:-1], self._edges[1:]):
-            sol = solve_ivp(rhs, (y0, y1), q.ravel(), method="DOP853", rtol=_CORE_RTOL,
-                            atol=1e-3 * _CORE_RTOL, dense_output=True)
+            with np.errstate(over="ignore", invalid="ignore"):
+                sol = solve_ivp(rhs, (y0, y1), q.ravel(), method="DOP853", rtol=_CORE_RTOL,
+                                atol=1e-3 * _CORE_RTOL, dense_output=True)
+            if not np.all(np.abs(sol.y) < 1e300):  # also catches inf and nan
+                raise OverflowError("recessive basis leaves double range; narrow [s_lo, s_hi]")
             if not sol.success:
                 raise RuntimeError(f"recessive basis integration failed near "
                                    f"s = {math.exp(sol.t[-1]):.4g}: {sol.message}")

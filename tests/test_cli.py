@@ -126,6 +126,19 @@ def test_sigma_pos_step_discount_prices(tmp_path):
     assert float(summary["derivative_gap_u"]) < 1e-4
 
 
+def test_two_sided_price_writes_l_condition_and_hjb(tmp_path):
+    cfg = load_config(overrides={
+        "model": {"sigma": 0.0, "lam": 0.5, "phi": 3.0, "r": 0.30},
+        "discount": {"kind": "step", "r": -0.02, "rho": 0.12, "y": 1.0,
+                     "direction": "above"}})
+    assert run(cfg, tmp_path, quiet=True) == EXIT_OK
+    summary = _read_summary(tmp_path / "summary.txt")
+    assert 0.0 < float(summary["l_star"]) < float(summary["u_star"]) < 20.0
+    assert summary["l_condition"] == "kink"
+    assert float(summary["hjb_continuation_sup"]) < 1e-3
+    assert float(summary["hjb_stopping_violation"]) <= 1e-12
+
+
 def test_unsupported_combination_is_config_error(tmp_path):
     # negative near zero without the flat-below-one certificate: no route
     cfg = load_config(overrides={

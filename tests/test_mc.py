@@ -136,6 +136,24 @@ def test_stopped_value_two_sided_vs_analytic(s0):
     assert abs(est.mean - analytic) < 4.0 * est.stderr
 
 
+@pytest.mark.parametrize("s0", [0.6, 20.0])
+def test_stopped_value_two_sided_sigma_pos_vs_analytic(s0):
+    """The sigma = 0.2 two-sided value at its own optimal interval
+    (l* = 1.0059, u* = 16.454): s = 0.6 lies below l, where the flat rate
+    -0.02 holds, and s = 20 above u, where creeping and jumps both reach the
+    interval.  At s = 20 the standard error is 0.7% of the value, so the
+    check is the 3 SE gap with the error itself held below 1%."""
+    model = LevyModel.calibrated(r=0.30, sigma=0.2, lam=0.5, phi=3.0)
+    fn = Step(-0.02, 0.12, 1.0, "above")
+    res = optimize_boundaries(PricingProblem(model, fn, 20.0), n_curve=64)
+    analytic = float(res.value_fn(np.array([s0]))[0])
+    est = stopped_value(model, fn, 20.0, res.boundaries, s0, 50_000, 1e-2,
+                        t_max=100.0, seed=5)
+    assert not est.unreliable
+    assert abs(est.mean - analytic) < 3.0 * est.stderr
+    assert est.stderr < 0.01 * analytic
+
+
 # (mean, stderr, censored_fraction, truncation_mass) to 1e-12: a change to the
 # engine's cost must leave these bits alone, a change to the estimator moves them
 PINNED = {

@@ -241,7 +241,8 @@ def test_recessive_basis_never_reads_below_its_range(crash_model, strike):
     for omega in (Tabulated(knots, tuple(0.1 * k for k in knots)), Linear(0.1)):
         val = _CrashValuation(PricingProblem(crash_model, omega, strike),
                               0.02 * strike, 2.2 * strike)
-        gaps.append([val.fit_gap(u) for u in np.linspace(0.02 * strike, 0.995 * strike, 5)])
+        gaps.append([val.fit_gap(u, strike - u * crash_model.phi / (crash_model.phi + 1.0))
+                     for u in np.linspace(0.02 * strike, 0.995 * strike, 5)])
     assert np.allclose(gaps[0], gaps[1], rtol=1e-9, atol=1e-12)
 
 
@@ -338,11 +339,86 @@ def test_double_continuation_region_found():
 
 
 def test_two_sided_edge_optimum_raises(crash_model):
-    """A value that peaks at the edge of the u-scan has no interior optimum;
-    the search raises instead of returning the scan's floor."""
+    """Under Constant(-0.01) the value above u keeps rising as u falls (the
+    old u-scan returned its floor, 0.05 K); the overshoot gain then peaks at
+    the edge l = 0 of its scan, and the search raises instead of returning
+    a boundary."""
     pb = PricingProblem(crash_model, Constant(-0.01), 20.0)
     with pytest.raises(RuntimeError, match="edge"):
         optimize_boundaries(pb)
+
+
+def _step_two_sided(sigma):
+    model = LevyModel.calibrated(r=0.30, sigma=sigma, lam=0.5, phi=3.0)
+    return PricingProblem(model, Step(-0.02, 0.12, y=1.0, direction="above"), 20.0)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.2])
+def test_overshoot_average_vs_quadrature(sigma):
+    """K - u phi/(phi+1) + u^{-phi} B(l) against E[G(u e^{-Y})], Y ~ Exp(phi),
+    by scipy quad over the landing level w, whose density is phi w^{phi-1}
+    u^{-phi} on (0, u): G(w) = K - w on [l, u] and the continuation
+    (K - l) H(w)/H(l) below l, with H read by h_at (kinked at w = 1)."""
+    from scipy.integrate import quad
+
+    pb = _step_two_sided(sigma)
+    ts = _TwoSidedValuation(pb)
+    K, phi = pb.strike, pb.model.phi
+    for u in (3.0, 10.0, 17.6):
+        def density(w):
+            return phi * w ** (phi - 1.0) / u ** phi
+
+        for l in (0.3, 0.9, 1.0, 1.7, 2.9):
+            h_l = ts.h_at(l)[0]
+            inside = quad(lambda w: density(w) * (K - w), l, u, epsabs=0.0, epsrel=1e-12)[0]
+            below = quad(lambda w: density(w) * (K - l) * ts.h_at(w)[0] / h_l, 0.0, l,
+                         points=[1.0] if l > 1.0 else None, epsabs=0.0, epsrel=1e-12)[0]
+            assert ts.overshoot_average(l, u) == pytest.approx(inside + below, rel=1e-8)
+
+
+def test_two_sided_step_boundaries_sigma0():
+    """sigma = 0: l* sits on the rate step at s = 1, a kink optimum of the
+    overshoot gain whose one-sided slopes keep their value as h shrinks."""
+    res = optimize_boundaries(_step_two_sided(0.0), n_curve=128)
+    assert abs(res.l_star - 1.0) < 1e-6
+    assert res.u_star == pytest.approx(17.6276806, rel=1e-8)
+    assert res.diagnostics["l_condition"] == "kink"
+    assert res.diagnostics["fit_condition"] == "continuous"
+    slopes = res.diagnostics["l_slopes"]
+    assert slopes["left"] == pytest.approx([0.510, 0.510], abs=1e-3)
+    assert slopes["right"] == pytest.approx([-5.00, -5.00], abs=0.1)
+    assert res.fit["continuity_u"] < 1e-9
+
+
+def test_two_sided_step_boundaries_sigma_pos():
+    """sigma = 0.2: a smooth optimum at l*, whose slopes shrink with the
+    step, and smooth fit at both boundaries."""
+    res = optimize_boundaries(_step_two_sided(0.2), n_curve=128)
+    assert res.l_star == pytest.approx(1.0059145, abs=1e-7)
+    assert res.u_star == pytest.approx(16.4543669, abs=1e-7)
+    assert res.diagnostics["l_condition"] == "smooth"
+    assert res.fit["derivative_gap_l"] < 1e-4
+    assert res.fit["derivative_gap_u"] < 1e-4
+    slopes = res.diagnostics["l_slopes"]
+    for side in (slopes["left"], slopes["right"]):
+        assert abs(side[1]) < 0.05 * abs(side[0])
+
+
+def test_two_sided_flat_gain_raises(monkeypatch):
+    """An overshoot gain that is flat around its scan maximum has no strict
+    maximum there; the search raises instead of returning a plateau point."""
+    monkeypatch.setattr(_TwoSidedValuation, "overshoot_gain",
+                        lambda self, l: -max(abs(l - 5.0) - 1.0, 0.0) ** 2)
+    with pytest.raises(RuntimeError, match="not a local maximum"):
+        optimize_boundaries(_step_two_sided(0.0), n_curve=64)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.2])
+def test_hjb_two_sided(sigma):
+    pb = _step_two_sided(sigma)
+    res = hjb_residual(optimize_boundaries(pb), pb)
+    assert res["continuation_sup"] < 1e-3
+    assert res["stopping_violation"] <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,47 @@ def test_recessive_constants_self_convergence(crash_model_sigma, monkeypatch):
     assert float(np.max(rel)) < 2e-4
 
 
+def test_recessive_basis_integrations(crash_model, crash_model_sigma, monkeypatch):
+    """sigma = 0 has one recessive column and integrates once; sigma > 0
+    keeps one integration per re-orthonormalisation chunk."""
+    import omega_pricer.scale as scale
+
+    calls = []
+    solve_ivp = scale.solve_ivp
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(scale, "solve_ivp", counting)
+    RecessiveBasis(crash_model, Linear(0.1), 0.4, 44.0)
+    assert len(calls) == 1
+    calls.clear()
+    RecessiveBasis(crash_model_sigma, Linear(0.1), 0.4, 44.0)
+    span = np.log(44.0) + scale._CORE_MARGIN - np.log(0.4)
+    assert len(calls) == int(np.ceil(span / scale._CORE_CHUNK))
+
+
+@pytest.mark.parametrize("contract", ["crash_linear", "step_two_sided"])
+def test_recessive_constants_self_convergence_sigma0(crash_model, monkeypatch, contract):
+    """The one-integration sigma = 0 basis against a tenfold tighter tolerance
+    and a doubled start margin, on the one-sided crash contract and the
+    two-sided Step contract (whose value above u reads the same basis)."""
+    import omega_pricer.scale as scale
+
+    if contract == "crash_linear":
+        pb = PricingProblem(crash_model, Linear(0.1), 20.0)
+    else:
+        pb = PricingProblem(LevyModel.calibrated(r=0.30, sigma=0.0, lam=0.5, phi=3.0),
+                            Step(-0.02, 0.12, y=1.0, direction="above"), 20.0)
+    base = optimize_boundaries(pb, n_curve=128)
+    monkeypatch.setattr(scale, "_CORE_RTOL", scale._CORE_RTOL / 10.0)
+    monkeypatch.setattr(scale, "_CORE_MARGIN", scale._CORE_MARGIN * 2.0)
+    tight = optimize_boundaries(pb, n_curve=128)
+    assert abs(tight.u_star / base.u_star - 1.0) < 1e-9
+    assert float(np.max(np.abs(base.values / tight.values - 1.0))) < 1e-8
+
+
 def test_recessive_basis_rejects_out_of_range(crash_model):
     core = RecessiveBasis(crash_model, Linear(0.1), 1.0, 10.0)
     with pytest.raises(ValueError):
