@@ -396,14 +396,15 @@ def _crash_fit_root(problem: PricingProblem, valuation: _CrashValuation,
     for the landing mean _overshoot_mean(problem, u, gain)."""
     K = problem.strike
 
-    def gap(u):
+    # brentq holds its function in a reference cycle: pass the basis, do not capture it
+    def gap(u, valuation):
         return valuation.fit_gap(u, _overshoot_mean(problem, u, gain))
 
     us = np.linspace(lo, 0.995 * K, 48)
-    vals = [gap(x) for x in us]
+    vals = [gap(x, valuation) for x in us]
     for x0, x1, v0, v1 in zip(us[:-1], us[1:], vals[:-1], vals[1:]):
         if v0 * v1 < 0.0:
-            return brentq(gap, x0, x1, xtol=1e-10)
+            return brentq(gap, x0, x1, args=(valuation,), xtol=1e-10)
     raise RuntimeError(f"no fit root for the upper boundary in [{lo:.6g}, {0.995 * K:.6g}]; "
                        "stopping set degenerate")
 

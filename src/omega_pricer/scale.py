@@ -10,12 +10,11 @@ library returns comes from that system:
 
 * It reads the rate only, never its slope, so step and tabulated rates
   integrate like smooth ones, and in absolute log-price y = log s it depends
-  on no barrier.  `RecessiveBasis` integrates its recessive (decaying in s)
-  solutions once, backward in y, so a single object serves every barrier
-  level: the one-sided jump value, the passage factor Z - c W and its
-  creeping part are all recessive solutions fixed by conditions at
-  y = log u, and the tail constant c = lim Z/W is the one that makes
-  Z - c W recessive.
+  on no barrier.  `RecessiveBasis` integrates the normal of the plane of its
+  recessive (decaying in s) solutions once, backward in y, so one object
+  serves every barrier level: the jump value, the passage factor Z - c W and
+  its creeping part are recessive solutions fixed at y = log u, and the tail
+  constant c = lim Z/W is the one that makes Z - c W recessive.
 * `forward_state` integrates it forward from one level: W starts from
   P = 1, Z from e_i0 / ups_i0 (i0 the zero root) and H, with the roots of
   psi - c, from e_i / ups_i (i the root Phi(c)).  It gives the tables of
@@ -276,33 +275,43 @@ def ode_solve_crash(model: LevyModel, xi: LogDiscount, grid: LogGrid,
 ode_solve_crash_sigma = ode_solve_crash
 
 
-# Integration constants of RecessiveBasis, fixed by the self-convergence test
-# in tests/test_scale.py (a tenfold tighter tolerance and a doubled margin move
-# the sigma = 0.2 crash boundary by far less than 1e-6).
-_CORE_RTOL = 1e-10
-_CORE_CHUNK = 0.1    # re-orthonormalisation interval in y
+# Integration constants of RecessiveBasis, checked by the self-convergence tests
+# in tests/test_scale.py.  LSODA's global error at rtol 1e-10 left the sigma = 0.2
+# crash curve 1e-8 from its converged value; at 1e-11 it is 7e-10, at no extra cost.
+_CORE_RTOL = 1e-11
 _CORE_MARGIN = 3.0   # start this far above log(s_hi) so the start error decays by then
+
+
+def _dense_solve(rhs, span, v0):
+    """Dense LSODA solution of v' = rhs(y, v) over span at the core tolerance."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = solve_ivp(rhs, span, v0, method="LSODA", rtol=_CORE_RTOL,
+                        atol=1e-3 * _CORE_RTOL, dense_output=True)
+    if not np.all(np.abs(sol.y) < 1e300):  # also catches inf and nan
+        raise OverflowError("recessive basis leaves double range; narrow [s_lo, s_hi]")
+    if not sol.success:
+        raise RuntimeError(f"recessive basis integration failed near "
+                           f"s = {math.exp(sol.t[-1]):.4g}: {sol.message}")
+    return sol.sol
 
 
 class RecessiveBasis:
     """Recessive solutions of the scale equation of (model, omega) on [s_lo, s_hi].
 
     In absolute log-price y = log s every scale function of an exponential-jump
-    model is F = ups . P for the renewal state P' = (diag(gamma) + omega(e^y)
-    1 ups^T) P, with m = 2 roots for sigma = 0 and m = 3 for sigma > 0; the
-    system reads omega only, not its slope, and depends on no barrier.  One
+    model is F = ups . P for the renewal state P' = A P, A = diag(gamma) +
+    omega(e^y) 1 ups^T, with m = 2 roots for sigma = 0 and m = 3 for sigma > 0;
+    the system reads omega only, not its slope, and depends on no barrier.  One
     solution dominates as s -> infinity (like s^Phi(q) where the rate tends to
-    q); the m - 1 dimensional subspace of the others (the recessive solutions)
-    holds every passage factor.  The subspace is integrated once, backward in y
-    from the frozen-coefficient recessive eigenvectors at log(s_hi) + margin.
-    For sigma > 0 (m = 3) it runs in chunks re-orthonormalised by QR
-    (continuous orthonormalisation, Conte 1966) so the basis never loses rank;
-    each chunk keeps its dense output and its R factor, so a recessive solution
-    given by its coefficients at one level is known at every level above it.
-    For sigma = 0 the single recessive column has no rank to lose (QR would
-    only rescale it) and its frozen exponent lies in (-phi, 0) where omega > 0,
-    so it is one integration, which raises OverflowError if the state leaves
-    double range.
+    q); the m - 1 dimensional plane of the others (the recessive solutions)
+    holds every passage factor.  The plane is kept as its unit normal w, the
+    dominant solution backward in y of the adjoint w' = -A^T w (the
+    codimension-1 compound-matrix method; Ng & Reid 1979, Allen & Bridges
+    2002), integrated once from the frozen dominant left eigenvector at
+    log(s_hi) + margin by a stiff-capable method (LSODA): the plane's fast
+    mode, which would hold a direct integration of the plane to short steps,
+    only decays in w.  A recessive solution given at one level is integrated
+    forward under P' = A (I - w w^T) P, which keeps w . P constant.
     """
 
     def __init__(self, model: LevyModel, fn: DiscountFn, s_lo: float, s_hi: float):
@@ -317,17 +326,12 @@ class RecessiveBasis:
         while math.exp(self.y_lo) < s_lo:  # never read omega below s_lo
             self.y_lo = math.nextafter(self.y_lo, math.inf)
         self.y_top = math.log(s_hi)
-
-        def rhs(y, v):
-            p = v.reshape(m, m - 1)
-            return (g[:, None] * p + fn(math.exp(y)) * (ups @ p)).ravel()
-
         s_start = s_hi * math.exp(_CORE_MARGIN)
         y_hi = math.log(s_start)
         while math.exp(y_hi) > s_start:  # never read omega above s_hi e^margin
             y_hi = math.nextafter(y_hi, -math.inf)
         frozen = np.diag(g) + float(fn(math.exp(y_hi))) * np.outer(np.ones(m), ups)
-        lam, vec = np.linalg.eig(frozen)
+        lam, vec = np.linalg.eig(frozen.T)
         by_re = np.argsort(lam.real)
         # the frozen exponents are the roots of psi = omega(e^y_hi); the dominant
         # one continues Phi(q) and must be separated from the rest (it decays
@@ -335,40 +339,28 @@ class RecessiveBasis:
         if not lam[by_re[-1]].real > lam[by_re[-2]].real:
             raise RuntimeError(f"no separated dominant mode at s = {math.exp(y_hi):.4g}: "
                                f"frozen exponents {lam}")
-        rec = vec[:, by_re[:m - 1]]
-        # real and imaginary parts span the same real subspace as a conjugate pair
-        q = np.linalg.svd(np.hstack([rec.real, rec.imag]))[0][:, :m - 1]
-        n_chunks = 1 if m == 2 else max(1, int(math.ceil((y_hi - self.y_lo) / _CORE_CHUNK)))
-        self._edges = np.linspace(y_hi, self.y_lo, n_chunks + 1)
-        self._dense = []
-        self._r = []
-        for y0, y1 in zip(self._edges[:-1], self._edges[1:]):
-            with np.errstate(over="ignore", invalid="ignore"):
-                sol = solve_ivp(rhs, (y0, y1), q.ravel(), method="DOP853", rtol=_CORE_RTOL,
-                                atol=1e-3 * _CORE_RTOL, dense_output=True)
-            if not np.all(np.abs(sol.y) < 1e300):  # also catches inf and nan
-                raise OverflowError("recessive basis leaves double range; narrow [s_lo, s_hi]")
-            if not sol.success:
-                raise RuntimeError(f"recessive basis integration failed near "
-                                   f"s = {math.exp(sol.t[-1]):.4g}: {sol.message}")
-            q, r = np.linalg.qr(sol.y[:, -1].reshape(m, m - 1))
-            self._dense.append(sol.sol)
-            self._r.append(r)
+        w0 = vec[:, by_re[-1]].real
 
-    def _chunk(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
+        def rhs(y, w):
+            # unit-norm adjoint: w' = -A^T w + (w . A^T w) w
+            atw = g * w + fn(math.exp(y)) * w.sum() * ups
+            return (w @ atw) * w - atw
+
+        self._normal = _dense_solve(rhs, (y_hi, self.y_lo), w0 / np.linalg.norm(w0))
+        self._forward = (None, None)
+
+    def _check(self, y) -> None:
         if np.any(y < self.y_lo - 1e-12) or np.any(y > self.y_top + 1e-12):
             raise ValueError(f"log-price outside the basis range "
                              f"[{self.y_lo:.6g}, {self.y_top:.6g}]")
-        k = np.searchsorted(-self._edges, -y, side="right") - 1
-        return np.clip(k, 0, len(self._dense) - 1)
 
     def state(self, y: float) -> np.ndarray:
-        """m x (m-1) matrix of the states P at y for the basis of y's chunk."""
-        return self._dense[int(self._chunk(y))](y).reshape(self.order, -1)
+        """m x (m-1) orthonormal basis of the recessive states P at y."""
+        self._check(y)
+        return np.linalg.qr(self._normal(y).reshape(-1, 1), mode="complete")[0][:, 1:]
 
     def basis(self, y: float) -> np.ndarray:
-        """m x (m-1) matrix of (F, F', ...) at y+ for the basis of y's chunk.
+        """m x (m-1) matrix of (F, F', ...) at y+ for the states of state(y).
 
         F' = (ups gamma) . P + omega W(0) F and, for sigma > 0 where W(0) = 0,
         F'' = (ups gamma^2) . P + omega W'(0+) F, with omega read at e^y (at
@@ -397,24 +389,31 @@ class RecessiveBasis:
     def evaluate(self, y0: float, coef, ys) -> np.ndarray:
         """F(ys) at ys >= y0 for the recessive solution F(y0) = basis(y0) @ coef.
 
-        Chunk j's basis is chunk j+1's times R_j, so coefficients carry upward
-        as c_j = R_j^{-1} c_{j+1}.
+        The states of state(y0) are integrated forward to log(s_hi) once; the
+        last y0's solution is kept, so every coef at one level shares it.
         """
-        k0 = int(self._chunk(y0))
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
-        ks = self._chunk(ys)
-        if np.any(ks > k0):
+        self._check(np.append(ys, y0))
+        if np.any(ys < y0 - 1e-12):
             raise ValueError("evaluation points must lie at or above y0")
-        out = np.empty(ys.shape)
-        c = np.asarray(coef, dtype=float)
-        for k in range(k0, int(np.min(ks, initial=k0)) - 1, -1):
-            if k < k0:
-                c = np.linalg.solve(self._r[k], c)
-            sel = ks == k
-            if np.any(sel):
-                p = self._dense[k](ys[sel]).reshape(self.order, self.order - 1, -1)
-                out[sel] = np.tensordot(self.upsilons, p, 1).T @ c
-        return out
+        if self._forward[0] != y0:
+            g, ups, fn, m = self.gammas, self.upsilons, self.fn, self.order
+            # scipy's solver keeps rhs in a reference cycle: read the normal through held
+            held = [self._normal]
+
+            def rhs(y, v):
+                w = held[0](y)
+                p = v.reshape(m, m - 1)
+                p = p - np.outer(w, (w @ p) / (w @ w))
+                return (g[:, None] * p + fn(math.exp(y)) * (ups @ p)).ravel()
+
+            try:
+                sol = _dense_solve(rhs, (max(y0, self.y_lo), self.y_top), self.state(y0).ravel())
+            finally:
+                held.clear()
+            self._forward = (y0, sol)
+        p = self._forward[1](ys).reshape(self.order, self.order - 1, -1)
+        return np.tensordot(self.upsilons, p, 1).T @ np.asarray(coef, dtype=float)
 
 
 # ---------------------------------------------------------------------------

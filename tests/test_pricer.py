@@ -234,16 +234,19 @@ def test_tabulated_knots_exactly_cover_the_range(crash_model, strike):
 @pytest.mark.parametrize("strike", [1.04, 1.1, 20.0])
 def test_recessive_basis_never_reads_below_its_range(crash_model, strike):
     """Knots exactly on [0.02 K, 2.2 K e^3]: exp(log(0.02 K)) rounds below
-    0.02 K for K = 1.04 and 1.1, and neither the basis integration nor the
-    fit at the scan's first barrier u = 0.02 K may read omega there."""
+    0.02 K for K = 1.04 and 1.1, and neither the basis integration, the fit
+    at the scan's first barrier u = 0.02 K nor the value above that barrier
+    may read omega there."""
     knots = (0.02 * strike, 2.2 * strike * np.exp(3.0))
-    gaps = []
+    gaps, values = [], []
     for omega in (Tabulated(knots, tuple(0.1 * k for k in knots)), Linear(0.1)):
         val = _CrashValuation(PricingProblem(crash_model, omega, strike),
                               0.02 * strike, 2.2 * strike)
         gaps.append([val.fit_gap(u, strike - u * crash_model.phi / (crash_model.phi + 1.0))
                      for u in np.linspace(0.02 * strike, 0.995 * strike, 5)])
+        values.append(val.value(0.02 * strike, [0.03 * strike, strike]))
     assert np.allclose(gaps[0], gaps[1], rtol=1e-9, atol=1e-12)
+    assert np.allclose(values[0], values[1], rtol=1e-9)
 
 
 def test_step_value_beyond_range_raises(crash_model):
@@ -278,6 +281,37 @@ def test_sigma_pos_crash_smooth_fit():
     assert res.fit["derivative_gap_u"] < 5e-3
     s = res.s_grid
     assert np.all(res.values >= np.maximum(20.0 - s, 0.0) - 1e-7)
+
+
+# (l*, u*, {s: V(s)}) of the sigma = 0.2 contracts from the QR-re-orthonormalised
+# chunked basis that the adjoint normal replaced (DOP853 at rtol 1e-10, QR
+# every 0.1 in y; self-converged to about 1e-10)
+_SIGMA_POS_PINS = {
+    "crash_linear": (0.0, 11.888878273018,
+                     {25.0: 3.69751223881, 30.0: 2.934665638595, 39.0: 2.04302268557}),
+    "step_one_sided": (0.0, 1.77559135866,
+                       {25.0: 15.8174255077, 30.0: 15.6799793071, 39.0: 15.4842848374}),
+    "step_two_sided": (1.00591449945, 16.4543668588,
+                       {0.5: 20.1736233567, 25.0: 1.4226447896, 30.0: 1.02095340638,
+                        39.0: 0.633402483285}),
+}
+
+
+@pytest.mark.parametrize("contract", list(_SIGMA_POS_PINS))
+def test_sigma_pos_results_pinned(crash_model_sigma, contract):
+    """sigma = 0.2 boundaries to 1e-9 and values to 1e-8 against the pins."""
+    if contract == "crash_linear":
+        pb = PricingProblem(crash_model_sigma, Linear(0.1), 20.0)
+    elif contract == "step_one_sided":
+        pb = PricingProblem(crash_model_sigma, Step(0.05, 0.02, 15.0), 20.0)
+    else:
+        pb = _step_two_sided(0.2)
+    l_ref, u_ref, v_ref = _SIGMA_POS_PINS[contract]
+    res = optimize_boundaries(pb, n_curve=128)
+    assert res.l_star == pytest.approx(l_ref, rel=1e-9)
+    assert res.u_star == pytest.approx(u_ref, rel=1e-9)
+    s = np.array(list(v_ref))
+    assert res.value_fn(s) == pytest.approx(np.array(list(v_ref.values())), rel=1e-8)
 
 
 def test_sigma_pos_crash_without_fit_root_raises(crash_model_sigma):

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -265,24 +268,58 @@ def test_recessive_constants_self_convergence(crash_model_sigma, monkeypatch):
 
 
 def test_recessive_basis_integrations(crash_model, crash_model_sigma, monkeypatch):
-    """sigma = 0 has one recessive column and integrates once; sigma > 0
-    keeps one integration per re-orthonormalisation chunk."""
+    """Both orders integrate the basis once, backward over the whole range,
+    and evaluate integrates forward once per barrier level: every coefficient
+    vector read at one level shares that solve."""
     import omega_pricer.scale as scale
 
-    calls = []
+    spans = []
     solve_ivp = scale.solve_ivp
 
     def counting(*args, **kwargs):
-        calls.append(args[1])
+        spans.append(tuple(args[1]))
         return solve_ivp(*args, **kwargs)
 
     monkeypatch.setattr(scale, "solve_ivp", counting)
-    RecessiveBasis(crash_model, Linear(0.1), 0.4, 44.0)
-    assert len(calls) == 1
-    calls.clear()
-    RecessiveBasis(crash_model_sigma, Linear(0.1), 0.4, 44.0)
-    span = np.log(44.0) + scale._CORE_MARGIN - np.log(0.4)
-    assert len(calls) == int(np.ceil(span / scale._CORE_CHUNK))
+    for model in (crash_model, crash_model_sigma):
+        spans.clear()
+        core = RecessiveBasis(model, Linear(0.1), 0.4, 44.0)
+        assert len(spans) == 1
+        assert spans[0][0] > np.log(44.0) and spans[0][1] == pytest.approx(np.log(0.4))
+        coef = np.ones(core.order - 1)
+        for y0 in (np.log(2.0), np.log(5.0)):
+            core.evaluate(y0, coef, [y0, y0 + 0.5])
+            core.evaluate(y0, -2.0 * coef, [y0 + 1.0])
+        assert spans[1:] == [(np.log(2.0), core.y_top), (np.log(5.0), core.y_top)]
+
+
+@pytest.mark.parametrize("contract", ["crash_linear", "step_two_sided"])
+def test_recessive_basis_freed_without_collection(crash_model_sigma, monkeypatch, contract):
+    """A dropped price frees its basis by reference counting alone: scipy's
+    ODE solvers and brentq keep their functions in reference cycles, and
+    nothing those functions capture may reach the basis."""
+    import omega_pricer.scale as scale
+
+    if contract == "crash_linear":
+        pb = PricingProblem(crash_model_sigma, Linear(0.1), 20.0)
+    else:
+        pb = PricingProblem(LevyModel.calibrated(r=0.30, sigma=0.2, lam=0.5, phi=3.0),
+                            Step(-0.02, 0.12, y=1.0, direction="above"), 20.0)
+    refs = []
+    init = scale.RecessiveBasis.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(scale.RecessiveBasis, "__init__", recording)
+    gc.disable()
+    try:
+        optimize_boundaries(pb, n_curve=64)
+        assert len(refs) == 1
+        assert refs[0]() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("contract", ["crash_linear", "step_two_sided"])
