@@ -19,7 +19,7 @@ from .discount import (
 )
 from .scale import LogGrid, ScaleTable, build_scale_table
 from .pricer import Boundaries, PricingProblem, PricingResult, optimize_boundaries
-from .mc import McEstimate, PathSample, bermudan_dp, stopped_value
+from .mc import McEstimate, bermudan_dp, stopped_value
 
 __all__ = [
     "LevyModel",
@@ -41,7 +41,6 @@ __all__ = [
     "PricingResult",
     "optimize_boundaries",
     "McEstimate",
-    "PathSample",
     "bermudan_dp",
     "stopped_value",
 ]

@@ -202,12 +202,6 @@ def _write_curve(path: Path, s, values, payoff):
             fh.write(f"{float(a)!r},{float(b)!r},{float(c)!r}\n")
 
 
-def emit_figure_data(result, problem, out_path: Path):
-    """Write the value/payoff curve CSV spanning s in (0, 2K]."""
-    payoff = problem.intrinsic(result.s_grid)
-    _write_curve(out_path, result.s_grid, result.values, payoff)
-
-
 def run(cfg: dict, out_dir: Path, quiet: bool = False) -> int:
     """Execute one configured task; returns the process exit code."""
     t_start = time.perf_counter()
@@ -259,7 +253,8 @@ def run(cfg: dict, out_dir: Path, quiet: bool = False) -> int:
             summary["hjb_continuation_sup"] = f"{hjb['continuation_sup']:.6e}"
             summary["hjb_stopping_violation"] = f"{hjb['stopping_violation']:.6e}"
             if task == "price":
-                emit_figure_data(result, problem, out_dir / "value_curve.csv")
+                _write_curve(out_dir / "value_curve.csv", result.s_grid, result.values,
+                             problem.intrinsic(result.s_grid))
                 summary["curve_file"] = "value_curve.csv"
         elif task == "scale":
             grid = LogGrid(num["x_max"], num["grid_n"])

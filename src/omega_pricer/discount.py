@@ -221,7 +221,7 @@ def shift_tilt(fn: DiscountFn, u: float) -> LogDiscount:
     return LogDiscount(fn, shift=float(np.log(u)))
 
 
-def check_flat_below_one(fn: DiscountFn, n_samples: int = 257) -> Optional[float]:
+def check_flat_below_one(fn: DiscountFn) -> Optional[float]:
     """Constant value of omega on (0, 1], or None if omega varies there.
 
     Kind introspection first, then a sampled-grid confirmation.  The
@@ -251,7 +251,7 @@ def check_flat_below_one(fn: DiscountFn, n_samples: int = 257) -> Optional[float
         # hull does not reach 0+, so flatness below the first knot is unverifiable
         return float(v1) if xs[0] <= 1e-6 else None
     # generic fallback: sample a log grid on (0, 1]
-    xs = np.exp(np.linspace(np.log(1e-8), 0.0, n_samples))
+    xs = np.exp(np.linspace(np.log(1e-8), 0.0, 257))
     vals = np.asarray(fn(xs), dtype=float)
     if np.max(np.abs(vals - vals[-1])) <= 1e-12 * max(1.0, abs(vals[-1])):
         return float(vals[-1])

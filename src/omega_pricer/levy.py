@@ -87,10 +87,6 @@ class RootDecomposition:
     upsilons: tuple
     q: float = 0.0
 
-    @property
-    def n(self) -> int:
-        return len(self.gammas)
-
 
 def martingale_drift(r: float, lam: float, phi: float) -> float:
     """Drift mu that makes the discounted asset a local martingale: psi(1) = r."""

@@ -1,4 +1,4 @@
-"""Independent verification engine: path simulation and Bermudan rollback.
+"""Independent verification engine: first-entry Monte Carlo and Bermudan rollback.
 
 Paths are advanced exactly in law: exponential inter-arrival jump times,
 exact Exp(phi) jump sizes, Gaussian increments between events.  Two things
@@ -30,26 +30,13 @@ from .levy import LevyModel
 from .pricer import Boundaries, PricingProblem, putcall_transform
 
 __all__ = [
-    "PathSample",
     "McEstimate",
-    "simulate_path",
     "stopped_value",
     "bermudan_dp",
     "bermudan_value_at",
     "symmetry_check",
     "default_t_max",
 ]
-
-
-@dataclass(frozen=True)
-class PathSample:
-    """Skeleton of one simulated path with the accumulated discount integral."""
-
-    times: np.ndarray
-    logprices: np.ndarray
-    jump_flags: np.ndarray
-    discount_integral: np.ndarray
-    stopped_at: Optional[tuple]  # (time, price, reason)
 
 
 @dataclass(frozen=True)
@@ -72,80 +59,6 @@ def default_t_max(omega: DiscountFn, strike: float, tol: float = 1e-4) -> float:
     if lb <= 0.0:
         raise ValueError("omega not bounded away from zero below; pass t_max explicitly")
     return math.log(strike / tol) / lb
-
-
-def simulate_path(model: LevyModel, omega: DiscountFn, s0: float, dt: float,
-                  t_max: float, seed: int,
-                  boundaries: Optional[Boundaries] = None) -> PathSample:
-    """One exact-mechanics path skeleton; deterministic in the seed.
-
-    Event times are the union of the dt grid and the exact jump times; the
-    discount integral is the trapezoid of omega(S) over that skeleton.  When
-    boundaries are given the path stops on first entry into [l, u].
-    """
-    rng_n = np.random.Generator(np.random.Philox(key=seed))
-    rng_j = np.random.Generator(np.random.Philox(key=seed ^ 0x9E3779B97F4A7C15))
-    x = math.log(s0)
-    t = 0.0
-    d = 0.0
-    times = [0.0]
-    xs = [x]
-    flags = [False]
-    ds = [0.0]
-    lam = model.lam
-    t_jump = rng_j.exponential(1.0 / lam) if lam > 0.0 else math.inf
-    stopped = None
-    log_l = math.log(boundaries.l) if boundaries and boundaries.l > 0.0 else -math.inf
-    log_u = math.log(boundaries.u) if boundaries else math.inf
-
-    def record(t_new, x_new, jumped):
-        nonlocal d
-        d += 0.5 * (float(omega(math.exp(xs[-1]))) + float(omega(math.exp(x_new)))) \
-            * (t_new - times[-1])
-        times.append(t_new)
-        xs.append(x_new)
-        flags.append(jumped)
-        ds.append(d)
-
-    def check(x_prev, x_now, t_now, via_jump):
-        if boundaries is None:
-            return None
-        if log_l <= x_now <= log_u:
-            return (t_now, math.exp(x_now), "jumped_in" if via_jump else "hit_l_u")
-        if not via_jump and x_prev > log_u and x_now < log_l:
-            return (t_now, boundaries.u, "creeped")
-        if not via_jump and x_prev < log_l and x_now > log_u:
-            return (t_now, boundaries.l, "creeped")
-        return None
-
-    if boundaries is not None and log_l <= x <= log_u:
-        stopped = (0.0, s0, "immediate")
-    while stopped is None and t < t_max - 1e-15:
-        step_end = min(t + dt, t_max)
-        if t_jump <= step_end:
-            dt_seg = t_jump - t
-            x_pre = x + model.zeta * dt_seg + model.sigma * math.sqrt(max(dt_seg, 0.0)) \
-                * rng_n.standard_normal()
-            record(t_jump, x_pre, False)
-            stopped = check(x, x_pre, t_jump, False)
-            x_post = x_pre - rng_j.exponential(1.0 / model.phi)
-            record(t_jump, x_post, True)
-            if stopped is None:
-                stopped = check(x_pre, x_post, t_jump, True)
-            x, t = x_post, t_jump
-            t_jump = t + rng_j.exponential(1.0 / lam)
-            continue
-        dt_seg = step_end - t
-        x_new = x + model.zeta * dt_seg + model.sigma * math.sqrt(dt_seg) \
-            * rng_n.standard_normal()
-        record(step_end, x_new, False)
-        stopped = check(x, x_new, step_end, False)
-        x, t = x_new, step_end
-    if stopped is None and boundaries is not None:
-        stopped = (t, math.exp(x), "horizon")
-    return PathSample(times=np.asarray(times), logprices=np.asarray(xs),
-                      jump_flags=np.asarray(flags), discount_integral=np.asarray(ds),
-                      stopped_at=stopped)
 
 
 # ---------------------------------------------------------------------------

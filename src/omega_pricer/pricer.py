@@ -1,6 +1,6 @@
 """Value assembly and free-boundary optimisation for the perpetual put.
 
-Three analytic routes cover the supported model/discount combinations:
+Two analytic routes cover the supported model/discount combinations:
 
 * Black-Scholes models price through two solutions of the second-order
   equation sigma^2 s^2/2 h'' + mu s h' - omega(s) h = 0: an inner branch
@@ -8,18 +8,18 @@ Three analytic routes cover the supported model/discount combinations:
   one dense integration of (log h, d log h/d log s) per direction from its
   anchor, run on the branch's first read and interpolated for every later
   one, so the inner branch costs nothing where omega >= 0 forces l* = 0.
-* Exponential-jump models with nonnegative discounts stop on [0, u*].  Above
-  u the value is a recessive solution of the renewal state system, fixed by
-  the generator equation at u+ (memoryless overshoot average) and, when
-  sigma > 0, by continuity at u; one scale.RecessiveBasis per problem serves
-  every barrier and every rate kind.
-* Exponential-jump models whose discount is negative near zero admit a
-  two-sided stopping interval.  Below l the value follows the upward-passage
-  function H, one forward integration of the renewal state system of
-  psi - c from the level s = 1 below which the rate is the flat c; above u
-  it uses the same down-passage and creeping factors as the one-sided route.
-  l enters the value above u only through the overshoot gain B(l), so l*
-  maximises B once, for every u, and u* is the one-sided fit root with the
+* Exponential-jump models price every stopping interval [l, u] through one
+  valuation.  Above u the value is a recessive solution of the renewal
+  state system, fixed by the generator equation at u+ and, when sigma > 0,
+  by continuity at u; one scale.RecessiveBasis per problem serves every
+  barrier and every rate kind.  The jump from above u lands below u on the
+  memoryless overshoot average, K - u phi/(phi+1) + u^{-phi} B(l), where
+  the overshoot gain B(l) (0 at l = 0) is what continuing below l adds.
+  Below l > 0 the value follows the upward-passage function H, one forward
+  integration of the renewal state system of psi - c from the level s = 1
+  below which the rate is the flat c, run on the first read of H.  l
+  enters the value above u only through B, so l* maximises B once, for
+  every u (l* = 0 where omega >= 0), and u* is the fit root with the
   landing mean that l* gives.
 
 Calls are handled exclusively through the put-call transform.
@@ -48,8 +48,7 @@ __all__ = [
     "DualPutSpec",
     "solve_h_ode",
     "value_bs",
-    "value_crash_one_sided",
-    "value_two_sided",
+    "value_jump",
     "optimize_boundaries",
     "smooth_fit_residual",
     "hjb_residual",
@@ -112,6 +111,13 @@ class PricingResult:
 # Black-Scholes branch machinery
 # ---------------------------------------------------------------------------
 
+def _h_rhs(x, y, sig2, zeta, omega):
+    """(log h, d log h/dx)' of the h-equation in x = log s."""
+    d = y[1]
+    q = float(omega(math.exp(x)))
+    return [d, (2.0 / sig2) * q - (2.0 * zeta / sig2) * d - d * d]
+
+
 class HBranch:
     """One solution h of the h-equation, as (log h, d log h/dx) in x = log s.
 
@@ -130,17 +136,14 @@ class HBranch:
         self.x_lo, self.x_hi = min(x_lo, x_anchor), max(x_hi, x_anchor)
         self._pieces = None
 
-    def _rhs(self, x, y):
-        sig2 = self.model.sigma ** 2
-        d = y[1]
-        q = float(self.omega(math.exp(x)))
-        return [d, (2.0 / sig2) * q - (2.0 * self.model.zeta / sig2) * d - d * d]
-
     def _solve(self, x_end: float):
         if x_end == self.x_anchor:
             return None
-        sol = solve_ivp(self._rhs, (self.x_anchor, x_end), self.y0, method="DOP853",
-                        rtol=1e-11, atol=1e-12, dense_output=True)
+        # scipy's solver keeps its rhs in a reference cycle: pass the
+        # coefficients, not a method of the branch
+        sol = solve_ivp(_h_rhs, (self.x_anchor, x_end), self.y0, method="DOP853",
+                        rtol=1e-11, atol=1e-12, dense_output=True,
+                        args=(self.model.sigma ** 2, self.model.zeta, self.omega))
         if not sol.success:
             raise RuntimeError(f"h-equation integration failed: {sol.message}")
         return sol.sol
@@ -302,31 +305,68 @@ def _default_s_range(problem: PricingProblem, s_min: Optional[float] = None) -> 
 
 
 # ---------------------------------------------------------------------------
-# Exponential-jump one-sided value (l* = 0)
+# Exponential-jump value
 # ---------------------------------------------------------------------------
 
-def _overshoot_mean(problem: PricingProblem, u: float, gain: float = 0.0) -> float:
+def _overshoot_mean(problem: PricingProblem, u: float, gain: float) -> float:
     """Mean value at the landing u e^{-Y}, Y ~ Exp(phi), of a jump from u:
     K - u phi/(phi+1) for the payoff K - w, plus u^{-phi} B(l) when the
-    value below l continues (gain = B(l), see _TwoSidedValuation)."""
+    value below l continues (gain = B(l), see _JumpValuation)."""
     phi = problem.model.phi
     return problem.strike - u * phi / (phi + 1.0) + gain * u ** (-phi)
 
 
-class _CrashValuation:
-    """Down-passage data for the jump value, shared by every barrier u.
+class _JumpValuation:
+    """Value of stopping on first entry into [l, u] under exponential jumps,
+    shared by every interval.
 
-    One RecessiveBasis of the renewal state system on [s_lo, s_hi] serves
-    every rate kind and sigma: for s > u the value is the recessive solution
+    Above u the value is the recessive solution of the renewal state system
     that meets the generator equation at s = u+ (and, when sigma > 0,
-    continuity at u).
+    continuity at u); one RecessiveBasis on [0.02 K, 2.2 K] serves every
+    barrier and rate kind.  Below l > 0 the value is (K - l) H(s)/H(l).
+    Where omega equals its flat level c (y = log s <= 0) H = e^{Phi(c) y};
+    above, H is the forward solution of the renewal state system of psi - c
+    with rate omega(e^y) - c, started at y = 0 from H = 1 and integrated up
+    to log(2.2 K) on the first read of H, so a price with l = 0 never
+    integrates it.  The same integration carries int_0^y H(w) e^{phi w} dw
+    for the overshoot average.
+
+    The overshoot average splits as K - u phi/(phi+1) + u^{-phi} B(l) (see
+    overshoot_gain, 0 at l = 0), and above u the value is nondecreasing in
+    it, so the best l maximises B whatever u is.
     """
 
-    def __init__(self, problem: PricingProblem, s_lo: float, s_hi: float):
+    def __init__(self, problem: PricingProblem):
         if not problem.model.has_jumps:
             raise ValueError("jump route requires an exponential-jump model")
         self.problem = problem
-        self.core = RecessiveBasis(problem.model, problem.omega, s_lo, s_hi)
+        K = problem.strike
+        self.core = RecessiveBasis(problem.model, problem.omega, 0.02 * K, 2.2 * K)
+        self._upward = None
+
+    def _upward_passage(self) -> tuple:
+        """(Phi(c), ups, top of the H range, dense H state), built on the first
+        call; raises ValueError when omega is not constant on (0, 1]."""
+        if self._upward is None:
+            model, omega = self.problem.model, self.problem.omega
+            flat = check_flat_below_one(omega)
+            if flat is None:
+                raise ValueError("l > 0 requires omega constant on (0, 1]")
+            dec = psi_roots(model, flat)
+            i = int(np.argmax(dec.gammas))
+            y_top = max(math.log(2.2 * self.problem.strike), 0.0)
+            sol = forward_state(dec, lambda y: float(omega(math.exp(y))) - flat,
+                                y_top, i, model.phi)
+            self._upward = (dec.gammas[i], np.asarray(dec.upsilons), y_top, sol)
+        return self._upward
+
+    def _forward(self, y):
+        """(H, int_0^y H(w) e^{phi w} dw) at 0 <= y <= log(2.2 K)."""
+        _, ups, y_top, sol = self._upward_passage()
+        if np.any(y > y_top + 1e-12):
+            raise ValueError(f"log-price above the H range {y_top:.6g}")
+        v = sol(y)
+        return ups @ v[:-1], v[-1]
 
     def _coef(self, u: float, f0: float, gbar: float) -> tuple:
         """Basis at log u and coefficients of the recessive F with, at s = u+,
@@ -361,37 +401,75 @@ class _CrashValuation:
             return float(basis[0] @ coef) - (K - u)
         return float(basis[1] @ coef) + u
 
-    def value(self, u: float, s) -> np.ndarray:
+    def h_at(self, s) -> np.ndarray:
+        """H at log-price y = log s; exponential where omega is flat."""
+        phi_c = self._upward_passage()[0]
+        with np.errstate(divide="ignore"):
+            y = np.log(np.atleast_1d(np.asarray(s, dtype=float)))
+        out = np.exp(phi_c * np.minimum(y, 0.0))
+        pos = y > 0.0
+        if np.any(pos):
+            out[pos] = self._forward(y[pos])[0]
+        return out
+
+    def overshoot_gain(self, l: float) -> float:
+        """B(l) = phi (K - l) I(l)/H(l) - K l^phi + phi/(phi+1) l^{phi+1} with
+        I(l) = int_{-inf}^{log l} H(w) e^{phi w} dw: what continuing below l
+        adds to the overshoot average, times u^phi (0 at l = 0)."""
+        K = self.problem.strike
+        phi = self.problem.model.phi
+        if l <= 0.0:
+            return 0.0
+        phi_c = self._upward_passage()[0]
+        log_l = math.log(l)
+        if log_l <= 0.0:
+            i_over_h = l ** phi / (phi_c + phi)
+        else:
+            h_l, tail = self._forward(log_l)
+            i_over_h = (1.0 / (phi_c + phi) + tail) / h_l
+        return float(phi * (K - l) * i_over_h - K * l ** phi + phi / (phi + 1.0) * l ** (phi + 1.0))
+
+    def overshoot_average(self, l: float, u: float) -> float:
+        """E[G(Y)] for Y ~ Exp(phi): landing payoff or continuation below l."""
+        return _overshoot_mean(self.problem, u, self.overshoot_gain(l))
+
+    def value(self, b: Boundaries, s) -> np.ndarray:
         K = self.problem.strike
         s = np.atleast_1d(np.asarray(s, dtype=float))
         out = K - s.astype(float)
-        above = s > u
+        below = s < b.l
+        if np.any(below):
+            out[below] = self.h_at(s[below]) / self.h_at(b.l)[0] * (K - b.l)
+        above = s > b.u
         if np.any(above):
-            x = np.log(s[above] / u)
-            total, creep = self.passage_split(u, x)
-            jumped = total - creep
-            out[above] = _overshoot_mean(self.problem, u) * jumped + (K - u) * creep
+            x = np.log(s[above] / b.u)
+            total, creep = self.passage_split(b.u, x)
+            gbar = self.overshoot_average(b.l, b.u)
+            out[above] = gbar * (total - creep) + (K - b.u) * creep
         return out
 
 
-def value_crash_one_sided(problem: PricingProblem, u: float, s,
-                          valuation: Optional[_CrashValuation] = None):
-    """One-sided (l = 0) value for exponential-jump models with omega >= 0.
+def value_jump(problem: PricingProblem, b: Boundaries, s,
+               valuation: Optional[_JumpValuation] = None):
+    """Value of stopping on first entry into [l, u] for exponential-jump models.
 
-    For s > u the value splits into a jump-passage part weighted by the
-    memoryless overshoot average E(K - u e^{-Y})^+ = K - u*phi/(phi+1) and,
-    when sigma > 0, a creeping part that lands exactly at u.
+    Above u the value splits into a jump-passage part weighted by the
+    overshoot average and, when sigma > 0, a creeping part that lands
+    exactly at u.  Memorylessness detaches the exponential overshoot from
+    the crossing level, so the average folds analytically against the
+    landing payoff and, for l > 0, the below-l continuation factor
+    H(.)/H(l); Monte Carlo (`mc.stopped_value`) is the independent check.
+    The value is defined up to 2.2 K (built from the problem when no
+    valuation is given).
     """
-    if not problem.omega.is_nonnegative:
-        raise ValueError("one-sided route requires omega >= 0")
     if valuation is None:
-        valuation = _CrashValuation(problem, u, max(float(np.max(np.atleast_1d(s))), u))
-    out = valuation.value(u, s)
+        valuation = _JumpValuation(problem)
+    out = valuation.value(b, s)
     return float(out[0]) if np.ndim(s) == 0 else out
 
 
-def _crash_fit_root(problem: PricingProblem, valuation: _CrashValuation,
-                    lo: float, gain: float = 0.0) -> float:
+def _crash_fit_root(problem: PricingProblem, valuation: _JumpValuation,
+                    lo: float, gain: float) -> float:
     """Upper boundary: the first root of valuation.fit_gap on [lo, 0.995 K]
     for the landing mean _overshoot_mean(problem, u, gain)."""
     K = problem.strike
@@ -409,147 +487,46 @@ def _crash_fit_root(problem: PricingProblem, valuation: _CrashValuation,
                        "stopping set degenerate")
 
 
-# ---------------------------------------------------------------------------
-# Two-sided jump value (negative discounts near zero)
-# ---------------------------------------------------------------------------
+def _jump_boundaries(problem: PricingProblem, valuation: _JumpValuation) -> tuple:
+    """(Boundaries, diagnostics) of the jump route.
 
-class _TwoSidedValuation:
-    """Interval stopping with l > 0 under exponential jumps.
-
-    Below l the value is (K - l) H(s) / H(l).  Where omega equals its flat
-    level c (y = log s <= 0) H = e^{Phi(c) y}; above, H is the forward
-    solution of the renewal state system of psi - c with rate omega(e^y) - c,
-    started at y = 0 from H = 1 and integrated once up to log(2.2 K).  The
-    same integration carries int_0^y H(w) e^{phi w} dw for the overshoot
-    average.  Above u the value uses the one-sided passage factors.
-
-    The overshoot average splits as K - u phi/(phi+1) + u^{-phi} B(l) (see
-    overshoot_gain), and above u the value is nondecreasing in it, so the
-    best l maximises B whatever u is.
-    """
-
-    def __init__(self, problem: PricingProblem):
-        model, omega = problem.model, problem.omega
-        if not model.has_jumps:
-            raise ValueError("two-sided route requires an exponential-jump model")
-        self.problem = problem
-        flat = check_flat_below_one(omega)
-        if flat is None:
-            raise ValueError("two-sided route requires omega constant on (0, 1]")
-        K = problem.strike
-        self._crash = _CrashValuation(problem, 0.02 * K, 2.2 * K)
-        dec = psi_roots(model, flat)
-        i = int(np.argmax(dec.gammas))
-        self.phi_c = dec.gammas[i]
-        self._ups = np.asarray(dec.upsilons)
-        self._y_top = max(math.log(2.2 * K), 0.0)
-        self._h = forward_state(dec, lambda y: float(omega(math.exp(y))) - flat,
-                                self._y_top, i, model.phi)
-
-    def _forward(self, y):
-        """(H, int_0^y H(w) e^{phi w} dw) at 0 <= y <= log(2.2 K)."""
-        if np.any(y > self._y_top + 1e-12):
-            raise ValueError(f"log-price above the H range {self._y_top:.6g}")
-        v = self._h(y)
-        return self._ups @ v[:-1], v[-1]
-
-    def h_at(self, s) -> np.ndarray:
-        """H at log-price y = log s; exponential where omega is flat."""
-        with np.errstate(divide="ignore"):
-            y = np.log(np.atleast_1d(np.asarray(s, dtype=float)))
-        out = np.exp(self.phi_c * np.minimum(y, 0.0))
-        pos = y > 0.0
-        if np.any(pos):
-            out[pos] = self._forward(y[pos])[0]
-        return out
-
-    def overshoot_gain(self, l: float) -> float:
-        """B(l) = phi (K - l) I(l)/H(l) - K l^phi + phi/(phi+1) l^{phi+1} with
-        I(l) = int_{-inf}^{log l} H(w) e^{phi w} dw: what continuing below l
-        adds to the overshoot average, times u^phi (0 at l = 0)."""
-        K = self.problem.strike
-        phi = self.problem.model.phi
-        if l <= 0.0:
-            return 0.0
-        log_l = math.log(l)
-        if log_l <= 0.0:
-            i_over_h = l ** phi / (self.phi_c + phi)
-        else:
-            h_l, tail = self._forward(log_l)
-            i_over_h = (1.0 / (self.phi_c + phi) + tail) / h_l
-        return float(phi * (K - l) * i_over_h - K * l ** phi + phi / (phi + 1.0) * l ** (phi + 1.0))
-
-    def overshoot_average(self, l: float, u: float) -> float:
-        """E[G(Y)] for Y ~ Exp(phi): landing payoff or continuation below l."""
-        return _overshoot_mean(self.problem, u, self.overshoot_gain(l))
-
-    def value(self, b: Boundaries, s) -> np.ndarray:
-        K = self.problem.strike
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        out = K - s.astype(float)
-        below = s < b.l
-        if np.any(below):
-            out[below] = self.h_at(s[below]) / self.h_at(b.l)[0] * (K - b.l)
-        above = s > b.u
-        if np.any(above):
-            x = np.log(s[above] / b.u)
-            total, creep = self._crash.passage_split(b.u, x)
-            gbar = self.overshoot_average(b.l, b.u)
-            out[above] = gbar * (total - creep) + (K - b.u) * creep
-        return out
-
-
-def value_two_sided(problem: PricingProblem, b: Boundaries, s,
-                    valuation: Optional[_TwoSidedValuation] = None):
-    """Interval-stopping value for exponential-jump models, l > 0 allowed.
-
-    Memorylessness detaches the exponential overshoot from the crossing
-    level, so above u it folds analytically against the landing payoff and
-    the below-l continuation factor H(.)/H(l); Monte Carlo
-    (`mc.stopped_value`) is the independent check.
-    """
-    if valuation is None:
-        valuation = _TwoSidedValuation(problem)
-    out = valuation.value(b, s)
-    return float(out[0]) if np.ndim(s) == 0 else out
-
-
-def _two_sided_boundaries(problem: PricingProblem,
-                          valuation: _TwoSidedValuation) -> tuple:
-    """(Boundaries, diagnostics) of the two-sided jump route.
-
-    l* maximises the overshoot gain B on [0, K] (48-node scan, bounded
-    refine), once for every u; u* is then the first fit root above l* with
-    the overshoot average that l* gives.  The one-sided difference slopes of
-    B at l*, at steps h and h/100, tell a kink optimum (slopes keep their
-    value, as where omega jumps) from a smooth one (slopes shrink with h).
-    Raises RuntimeError when B peaks at an edge of the scan, when l* is not
-    a local maximum of B, or when u* <= l*.
+    Where omega >= 0, l* = 0 and B(l*) = 0.  Otherwise l* maximises the
+    overshoot gain B on [0, K] (48-node scan, bounded refine), once for
+    every u, and the one-sided difference slopes of B at l*, at steps h and
+    h/100, tell a kink optimum (slopes keep their value, as where omega
+    jumps) from a smooth one (slopes shrink with h).  u* is then the first
+    fit root above l* with the overshoot average that B(l*) gives.  Raises
+    RuntimeError when B peaks at an edge of the scan, when l* is not a local
+    maximum of B, or when u* <= l*.
     """
     K = problem.strike
-    gain = valuation.overshoot_gain
-    ls = np.linspace(0.0, K, 48)
-    j = int(np.argmax([gain(l) for l in ls]))
-    if j in (0, len(ls) - 1):
-        raise RuntimeError(f"overshoot gain peaks at the edge l = {ls[j]:.6g} of the "
-                           f"scan [0, {K:g}]; no interior lower boundary")
-    res = minimize_scalar(lambda l: -gain(l), bounds=(ls[j - 1], ls[j + 1]),
-                          method="bounded", options={"xatol": 1e-9 * K})
-    l_star = float(res.x)
-    b_star = gain(l_star)
-    h = 1e-4 * l_star
-    left = [(b_star - gain(l_star - d)) / d for d in (h, h / 100.0)]
-    right = [(gain(l_star + d) - b_star) / d for d in (h, h / 100.0)]
-    if not (left[0] > 0.0 > right[0]):
-        raise RuntimeError(f"l = {l_star:.10g} is not a local maximum of the overshoot "
-                           f"gain (slopes {left[0]:.3g} left, {right[0]:.3g} right)")
-    # a kink keeps its slopes (ratio near 1), a smooth maximum scales them by 1/100
-    shrink = max(abs(left[1] / left[0]), abs(right[1] / right[0]))
-    diagnostics = {"l_condition": "kink" if shrink > 0.1 else "smooth",
-                   "l_slopes": {"step": h, "left": left, "right": right}}
-    u_star = _crash_fit_root(problem, valuation._crash, max(0.02 * K, l_star), b_star)
+    l_star = b_star = 0.0
+    diagnostics = {}
+    if not problem.omega.is_nonnegative:
+        gain = valuation.overshoot_gain
+        ls = np.linspace(0.0, K, 48)
+        j = int(np.argmax([gain(l) for l in ls]))
+        if j in (0, len(ls) - 1):
+            raise RuntimeError(f"overshoot gain peaks at the edge l = {ls[j]:.6g} of the "
+                               f"scan [0, {K:g}]; no interior lower boundary")
+        res = minimize_scalar(lambda l: -gain(l), bounds=(ls[j - 1], ls[j + 1]),
+                              method="bounded", options={"xatol": 1e-9 * K})
+        l_star = float(res.x)
+        b_star = gain(l_star)
+        h = 1e-4 * l_star
+        left = [(b_star - gain(l_star - d)) / d for d in (h, h / 100.0)]
+        right = [(gain(l_star + d) - b_star) / d for d in (h, h / 100.0)]
+        if not (left[0] > 0.0 > right[0]):
+            raise RuntimeError(f"l = {l_star:.10g} is not a local maximum of the overshoot "
+                               f"gain (slopes {left[0]:.3g} left, {right[0]:.3g} right)")
+        # a kink keeps its slopes (ratio near 1), a smooth maximum scales them by 1/100
+        shrink = max(abs(left[1] / left[0]), abs(right[1] / right[0]))
+        diagnostics = {"l_condition": "kink" if shrink > 0.1 else "smooth",
+                       "l_slopes": {"step": h, "left": left, "right": right}}
+    u_star = _crash_fit_root(problem, valuation, max(0.02 * K, l_star), b_star)
     if u_star <= l_star:
         raise RuntimeError(f"upper boundary {u_star:.10g} not above l* = {l_star:.10g}")
+    diagnostics["fit_condition"] = "continuous" if problem.model.sigma == 0.0 else "smooth"
     return Boundaries(l_star, u_star), diagnostics
 
 
@@ -758,17 +735,9 @@ def optimize_boundaries(problem: PricingProblem, n_curve: int = 512) -> PricingR
     if model.has_jumps:
         if model.sigma == 0.0 and model.mu <= 0.0:
             raise ValueError("finite-variation model needs positive drift")
-        if omega.is_nonnegative:
-            val = _CrashValuation(problem, 0.02 * K, 2.2 * K)
-            u_star = _crash_fit_root(problem, val, 0.02 * K)
-            bounds = Boundaries(0.0, u_star)
-            value_fn = lambda s: val.value(u_star, s)
-        else:
-            ts = _TwoSidedValuation(problem)
-            bounds, found = _two_sided_boundaries(problem, ts)
-            diagnostics.update(found)
-            value_fn = lambda s: ts.value(bounds, s)
-        diagnostics["fit_condition"] = "continuous" if model.sigma == 0.0 else "smooth"
+        val = _JumpValuation(problem)
+        bounds, diagnostics = _jump_boundaries(problem, val)
+        value_fn = lambda s: val.value(bounds, s)
     else:
         # where l* > 0 is possible the value below l is read on the curve and
         # down to 1e-4 K
@@ -818,5 +787,10 @@ def _root_scan(f, lo, hi, n=192):
     vals = np.asarray(f(xs), dtype=float)
     for x0, x1, v0, v1 in zip(xs[:-1], xs[1:], vals[:-1], vals[1:]):
         if np.isfinite(v0) and np.isfinite(v1) and v0 * v1 < 0.0:
-            return brentq(lambda x: float(f(x)), x0, x1, xtol=1e-12)
+            # brentq holds its function in a reference cycle: pass f, do not capture it
+            return brentq(_polish, x0, x1, args=(f,), xtol=1e-12)
     return None
+
+
+def _polish(x, f):
+    return float(f(x))

@@ -18,7 +18,7 @@ library returns comes from that system:
 * `forward_state` integrates it forward from one level: W starts from
   P = 1, Z from e_i0 / ups_i0 (i0 the zero root) and H, with the roots of
   psi - c, from e_i / ups_i (i the root Phi(c)).  It gives the tables of
-  `build_scale_table` and the two-sided pricer's H.
+  `build_scale_table` and the jump pricer's H for l > 0.
 * The march convolves each kernel exponential exactly against a
   piecewise-linear interpolant of the running solution (product
   integration), an explicit O(n) forward march per table, second order in
@@ -48,7 +48,6 @@ __all__ = [
     "renewal_solve_z",
     "forward_state",
     "ode_solve_crash",
-    "ode_solve_crash_sigma",
     "RecessiveBasis",
     "build_scale_table",
 ]
@@ -271,8 +270,6 @@ def ode_solve_crash(model: LevyModel, xi: LogDiscount, grid: LogGrid,
     sol = forward_state(dec, lambda x: float(xi(x)), grid.x_max, i0)
     return np.asarray(dec.upsilons) @ sol(grid.nodes())
 
-
-ode_solve_crash_sigma = ode_solve_crash
 
 
 # Integration constants of RecessiveBasis, checked by the self-convergence tests

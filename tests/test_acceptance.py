@@ -28,7 +28,6 @@ from omega_pricer.pricer import (
 )
 from omega_pricer.scale import (
     ode_solve_crash,
-    ode_solve_crash_sigma,
     renewal_solve_w,
     renewal_solve_z,
 )
@@ -152,9 +151,8 @@ def test_criterion_4_solver_cross_validation(crash_model, crash_model_sigma):
     worst = 0.0
     for model in (crash_model, crash_model_sigma):
         dec = psi_roots(model)
-        solver = ode_solve_crash if model.sigma == 0.0 else ode_solve_crash_sigma
         for which, renewal in (("W", renewal_solve_w), ("Z", renewal_solve_z)):
-            a = solver(model, xi, grid, which)
+            a = ode_solve_crash(model, xi, grid, which)
             b = renewal(dec, xi, grid)
             scale = np.maximum(np.abs(a), 1e-9 * np.max(np.abs(a)))
             worst = max(worst, float(np.max(np.abs(a - b) / scale)))

@@ -6,41 +6,14 @@ from scipy.stats import norm
 
 from omega_pricer import Constant, LevyModel, Linear, Step
 from omega_pricer.levy import laplace_exponent
-from omega_pricer.pricer import Boundaries, PricingProblem, optimize_boundaries, value_two_sided
+from omega_pricer.pricer import Boundaries, PricingProblem, optimize_boundaries, value_jump
 from omega_pricer.mc import (
     bermudan_dp,
     bermudan_value_at,
     default_t_max,
-    simulate_path,
     stopped_value,
     symmetry_check,
 )
-
-
-def test_simulate_path_deterministic(crash_model_sigma):
-    a = simulate_path(crash_model_sigma, Constant(0.05), 10.0, 0.01, 2.0, seed=42)
-    b = simulate_path(crash_model_sigma, Constant(0.05), 10.0, 0.01, 2.0, seed=42)
-    assert np.array_equal(a.logprices, b.logprices)
-    assert np.array_equal(a.discount_integral, b.discount_integral)
-    c = simulate_path(crash_model_sigma, Constant(0.05), 10.0, 0.01, 2.0, seed=43)
-    assert not np.array_equal(a.logprices, c.logprices)
-
-
-def test_simulate_path_deterministic_between_jumps(crash_model):
-    # sigma = 0: the path is a straight drift line between jump marks
-    p = simulate_path(crash_model, Constant(0.05), 10.0, 0.05, 1.0, seed=7)
-    t = p.times
-    x = p.logprices
-    for i in range(1, len(t)):
-        if not p.jump_flags[i]:
-            assert x[i] == pytest.approx(x[i - 1] + crash_model.zeta * (t[i] - t[i - 1]),
-                                         abs=1e-12)
-    assert p.jump_flags.any()
-
-
-def test_simulate_path_constant_discount_integral(crash_model_sigma):
-    p = simulate_path(crash_model_sigma, Constant(0.05), 10.0, 0.01, 2.0, seed=1)
-    assert p.discount_integral[-1] == pytest.approx(0.05 * p.times[-1], rel=1e-12)
 
 
 def test_exponential_moment(crash_model_sigma):
@@ -130,7 +103,7 @@ def test_stopped_value_two_sided_vs_analytic(s0):
     model = LevyModel.calibrated(r=0.30, sigma=0.0, lam=0.5, phi=3.0)
     fn = Step(-0.02, 0.12, 1.0, "above")
     b = Boundaries(3.0, 4.0)
-    analytic = value_two_sided(PricingProblem(model, fn, 20.0), b, s0)
+    analytic = value_jump(PricingProblem(model, fn, 20.0), b, s0)
     est = stopped_value(model, fn, 20.0, b, s0, 100_000, 1e-2, t_max=100.0, seed=5)
     assert not est.unreliable
     assert abs(est.mean - analytic) < 4.0 * est.stderr

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -16,10 +19,8 @@ from omega_pricer.pricer import (
     smooth_fit_residual,
     solve_h_ode,
     value_bs,
-    value_crash_one_sided,
-    value_two_sided,
-    _CrashValuation,
-    _TwoSidedValuation,
+    value_jump,
+    _JumpValuation,
 )
 from omega_pricer.scale import classical_w, classical_z
 
@@ -102,6 +103,29 @@ def test_h_branches_integrate_once(bs_model, monkeypatch, omega, solves):
     monkeypatch.setattr(pricer_module, "solve_ivp", counting)
     optimize_boundaries(PricingProblem(bs_model, omega, 20.0))
     assert len(calls) == solves, calls
+
+
+@pytest.mark.parametrize("omega", [Linear(0.01), Rational(C=0.001, D=0.01)],
+                         ids=["linear", "rational"])
+def test_h_branches_freed_without_collection(bs_model, monkeypatch, omega):
+    """A dropped price frees its h-branches by reference counting alone:
+    scipy's ODE solvers and brentq keep their functions in reference cycles,
+    and nothing those functions capture may reach a branch."""
+    refs = []
+    init = pricer_module.HBranch.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        refs.append(weakref.ref(self))
+
+    monkeypatch.setattr(pricer_module.HBranch, "__init__", recording)
+    gc.disable()
+    try:
+        optimize_boundaries(PricingProblem(bs_model, omega, 20.0), n_curve=64)
+        assert len(refs) == 2
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_bs_value_beyond_branch_range_raises(classical_result):
@@ -203,7 +227,7 @@ def test_crash_constant_rate_matches_classical(crash_model):
     x = np.log(s / u)
     ref = ((20.0 - u * 2.0 / 3.0)
            * (classical_z(decq, x) - cq * classical_w(decq, x)))
-    got = value_crash_one_sided(pb, u, s)
+    got = value_jump(pb, Boundaries(0.0, u), s)
     assert np.max(np.abs(got / ref - 1.0)) < 1e-5
 
 
@@ -240,11 +264,10 @@ def test_recessive_basis_never_reads_below_its_range(crash_model, strike):
     knots = (0.02 * strike, 2.2 * strike * np.exp(3.0))
     gaps, values = [], []
     for omega in (Tabulated(knots, tuple(0.1 * k for k in knots)), Linear(0.1)):
-        val = _CrashValuation(PricingProblem(crash_model, omega, strike),
-                              0.02 * strike, 2.2 * strike)
+        val = _JumpValuation(PricingProblem(crash_model, omega, strike))
         gaps.append([val.fit_gap(u, strike - u * crash_model.phi / (crash_model.phi + 1.0))
                      for u in np.linspace(0.02 * strike, 0.995 * strike, 5)])
-        values.append(val.value(0.02 * strike, [0.03 * strike, strike]))
+        values.append(val.value(Boundaries(0.0, 0.02 * strike), [0.03 * strike, strike]))
     assert np.allclose(gaps[0], gaps[1], rtol=1e-9, atol=1e-12)
     assert np.allclose(values[0], values[1], rtol=1e-9)
 
@@ -261,13 +284,7 @@ def test_step_value_beyond_range_raises(crash_model):
 
 def test_crash_value_below_u_is_payoff(crash_model):
     pb = PricingProblem(crash_model, Linear(0.1), 20.0)
-    assert value_crash_one_sided(pb, 8.0, 5.0) == pytest.approx(15.0)
-
-
-def test_crash_rejects_negative_discount(crash_model):
-    pb = PricingProblem(crash_model, Step(-0.02, 0.12, 1.0, "above"), 20.0)
-    with pytest.raises(ValueError):
-        value_crash_one_sided(pb, 5.0, 10.0)
+    assert value_jump(pb, Boundaries(0.0, 8.0), 5.0) == pytest.approx(15.0)
 
 
 def test_sigma_pos_crash_smooth_fit():
@@ -326,23 +343,13 @@ def test_sigma_pos_crash_without_fit_root_raises(crash_model_sigma):
 # Two-sided values
 # ---------------------------------------------------------------------------
 
-def test_two_sided_reduces_to_one_sided(crash_model):
-    fn = Step(0.05, 0.10, y=1.0)  # flat 0.05 below one, nonnegative
-    pb = PricingProblem(crash_model, fn, 20.0)
-    ts = _TwoSidedValuation(pb)
-    s = np.array([3.0, 6.0, 10.0])
-    v2 = value_two_sided(pb, Boundaries(0.0, 5.0), s, valuation=ts)
-    v1 = value_crash_one_sided(pb, 5.0, s)
-    assert np.max(np.abs(v2 / v1 - 1.0)) < 1e-5
-
-
 def test_two_sided_below_l_is_passage_ratio(crash_model):
     # constant discount: H-ratio collapses to e^{-Phi(r)(log l - log s)}
     pb = PricingProblem(crash_model, Constant(0.05), 20.0)
-    ts = _TwoSidedValuation(pb)
+    ts = _JumpValuation(pb)
     l, u = 2.0, 5.0
     s = np.array([0.5, 1.0, 1.5])
-    got = value_two_sided(pb, Boundaries(l, u), s, valuation=ts)
+    got = value_jump(pb, Boundaries(l, u), s, valuation=ts)
     phi_r = phi_right_inverse(crash_model, 0.05)
     ref = (20.0 - l) * np.exp(-phi_r * (np.log(l) - np.log(s)))
     assert np.max(np.abs(got / ref - 1.0)) < 1e-5
@@ -350,17 +357,43 @@ def test_two_sided_below_l_is_passage_ratio(crash_model):
 
 def test_two_sided_inside_is_payoff(crash_model):
     pb = PricingProblem(crash_model, Constant(0.05), 20.0)
-    ts = _TwoSidedValuation(pb)
-    got = value_two_sided(pb, Boundaries(2.0, 5.0), np.array([2.0, 3.3, 5.0]),
-                          valuation=ts)
+    ts = _JumpValuation(pb)
+    got = value_jump(pb, Boundaries(2.0, 5.0), np.array([2.0, 3.3, 5.0]),
+                     valuation=ts)
     assert np.max(np.abs(got - (20.0 - np.array([2.0, 3.3, 5.0])))) < 1e-12
 
 
+@pytest.mark.parametrize("sigma", [0.0, 0.2])
+def test_upward_passage_built_only_when_read(monkeypatch, sigma):
+    """H is one forward integration, run on its first read: an omega >= 0
+    price (l* = 0) never integrates it, even where omega is flat on (0, 1],
+    and a two-sided price integrates it once."""
+    calls = []
+    real = pricer_module.forward_state
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pricer_module, "forward_state", counting)
+    model = LevyModel.calibrated(r=0.05, sigma=sigma, lam=6.0, phi=2.0)
+    for omega in (Linear(0.1), Step(0.05, 0.02, 15.0)):
+        optimize_boundaries(PricingProblem(model, omega, 20.0), n_curve=64)
+    assert calls == []
+    optimize_boundaries(_step_two_sided(sigma), n_curve=64)
+    assert len(calls) == 1
+
+
 def test_two_sided_requires_flat_certificate(crash_model):
+    """Without omega constant on (0, 1] there is no H: the first read of it
+    raises ValueError (the CLI's config error)."""
     pb = PricingProblem(crash_model, Step(-0.02, 0.12, y=0.5, direction="above"),
                         20.0)
+    ts = _JumpValuation(pb)
     with pytest.raises(ValueError):
-        _TwoSidedValuation(pb)
+        ts.overshoot_gain(2.0)
+    with pytest.raises(ValueError):
+        value_jump(pb, Boundaries(2.0, 5.0), 1.0, valuation=ts)
 
 
 def test_double_continuation_region_found():
@@ -396,7 +429,7 @@ def test_overshoot_average_vs_quadrature(sigma):
     from scipy.integrate import quad
 
     pb = _step_two_sided(sigma)
-    ts = _TwoSidedValuation(pb)
+    ts = _JumpValuation(pb)
     K, phi = pb.strike, pb.model.phi
     for u in (3.0, 10.0, 17.6):
         def density(w):
@@ -441,7 +474,7 @@ def test_two_sided_step_boundaries_sigma_pos():
 def test_two_sided_flat_gain_raises(monkeypatch):
     """An overshoot gain that is flat around its scan maximum has no strict
     maximum there; the search raises instead of returning a plateau point."""
-    monkeypatch.setattr(_TwoSidedValuation, "overshoot_gain",
+    monkeypatch.setattr(_JumpValuation, "overshoot_gain",
                         lambda self, l: -max(abs(l - 5.0) - 1.0, 0.0) ** 2)
     with pytest.raises(RuntimeError, match="not a local maximum"):
         optimize_boundaries(_step_two_sided(0.0), n_curve=64)
@@ -520,13 +553,26 @@ def test_monotone_in_discount(bs_model):
 
 
 def test_optimizer_optimality_crash(crash_model, crash_linear_result):
-    """Perturbing u* by +-2 steps of the refinement never helps."""
+    """Perturbing u* by +-2 steps of the refinement never helps; for the
+    two-sided Step (sigma = 0 and 0.2) neither does perturbing l* by +-1%
+    and u* by +-0.02, alone or together, below l (s = 0.5) or above u
+    (s = 30)."""
     pb = PricingProblem(crash_model, Linear(0.1), 20.0)
     u_star = crash_linear_result.u_star
     s0 = 30.0
-    base = value_crash_one_sided(pb, u_star, s0)
+    base = value_jump(pb, Boundaries(0.0, u_star), s0)
     for du in (-0.02, 0.02):
-        assert value_crash_one_sided(pb, u_star + du, s0) <= base + 1e-7
+        assert value_jump(pb, Boundaries(0.0, u_star + du), s0) <= base + 1e-7
+    s = np.array([0.5, 30.0])
+    for sigma in (0.0, 0.2):
+        pb = _step_two_sided(sigma)
+        res = optimize_boundaries(pb, n_curve=64)
+        val = _JumpValuation(pb)
+        base = value_jump(pb, res.boundaries, s, valuation=val)
+        for dl in (0.99, 1.0, 1.01):
+            for du in (-0.02, 0.0, 0.02):
+                b = Boundaries(res.l_star * dl, res.u_star + du)
+                assert np.all(value_jump(pb, b, s, valuation=val) <= base + 1e-7)
 
 
 def test_call_requires_transform_route(bs_model):

@@ -6,7 +6,7 @@ import pytest
 
 from omega_pricer import Constant, LevyModel, Linear, LogGrid, Step, shift_tilt
 from omega_pricer.levy import phi_right_inverse, psi_roots, laplace_exponent
-from omega_pricer.pricer import PricingProblem, _CrashValuation, optimize_boundaries
+from omega_pricer.pricer import PricingProblem, _JumpValuation, optimize_boundaries
 from omega_pricer.scale import (
     GridTooCoarseError,
     RecessiveBasis,
@@ -14,7 +14,6 @@ from omega_pricer.scale import (
     classical_w,
     classical_z,
     ode_solve_crash,
-    ode_solve_crash_sigma,
     renewal_solve_w,
     renewal_solve_z,
 )
@@ -129,9 +128,8 @@ def test_ode_vs_renewal_linear_rate(fixture, request):
     dec = psi_roots(model)
     grid = LogGrid(3.0, 6001)
     xi = shift_tilt(Linear(0.1), 1.0)
-    solver = ode_solve_crash if model.sigma == 0.0 else ode_solve_crash_sigma
     for which, renewal in (("W", renewal_solve_w), ("Z", renewal_solve_z)):
-        a = solver(model, xi, grid, which)
+        a = ode_solve_crash(model, xi, grid, which)
         b = renewal(dec, xi, grid)
         scale = np.maximum(np.abs(a), 1e-9 * np.max(np.abs(a)))
         assert np.max(np.abs(a - b) / scale) < 1e-6
@@ -157,9 +155,9 @@ def test_ode_zero_rate_z_is_one(crash_model, crash_model_sigma):
     xi = shift_tilt(Constant(0.0), 1.0)
     z0 = ode_solve_crash(crash_model, xi, grid, "Z")
     assert np.max(np.abs(z0 - 1.0)) < 1e-10
-    zs = ode_solve_crash_sigma(crash_model_sigma, xi, grid, "Z")
+    zs = ode_solve_crash(crash_model_sigma, xi, grid, "Z")
     assert np.max(np.abs(zs - 1.0)) < 1e-10
-    ws = ode_solve_crash_sigma(crash_model_sigma, xi, grid, "W")
+    ws = ode_solve_crash(crash_model_sigma, xi, grid, "W")
     assert ws[0] == pytest.approx(0.0, abs=1e-13)
 
 
@@ -195,7 +193,7 @@ def test_march_rejects_coarse_grid(crash_model):
 
 
 def test_creeping_sigma_zero_is_zero(crash_model):
-    val = _CrashValuation(PricingProblem(crash_model, Linear(0.1), 20.0), 4.0, 8.0)
+    val = _JumpValuation(PricingProblem(crash_model, Linear(0.1), 20.0))
     assert np.all(val.passage_split(4.0, [0.0, 0.5])[1] == 0.0)
 
 
@@ -215,7 +213,7 @@ def _passage_closed_form(model, q, x):
 def test_creeping_constant_rate_closed_form(crash_model_sigma, x):
     # recessive solutions with (F(0), gbar) = (1, 1) and (1, 0) at u = 1
     q = 0.05
-    val = _CrashValuation(PricingProblem(crash_model_sigma, Constant(q), 20.0), 1.0, 4.0)
+    val = _JumpValuation(PricingProblem(crash_model_sigma, Constant(q), 20.0))
     total, creep = val.passage_split(1.0, [x])
     want_total, want_creep = _passage_closed_form(crash_model_sigma, q, x)
     assert total[0] == pytest.approx(want_total, rel=1e-6)
@@ -223,7 +221,7 @@ def test_creeping_constant_rate_closed_form(crash_model_sigma, x):
 
 
 def test_creeping_profile_matches_pointwise(crash_model_sigma):
-    val = _CrashValuation(PricingProblem(crash_model_sigma, Linear(0.1), 20.0), 4.0, 10.0)
+    val = _JumpValuation(PricingProblem(crash_model_sigma, Linear(0.1), 20.0))
     total, prof = val.passage_split(4.0, np.array([0.3, 0.8]))
     single = val.passage_split(4.0, [0.3])[1]
     assert prof[0] == pytest.approx(single[0], rel=1e-12)
@@ -231,7 +229,7 @@ def test_creeping_profile_matches_pointwise(crash_model_sigma):
 
 
 def test_creeping_requires_positive_x(crash_model_sigma):
-    val = _CrashValuation(PricingProblem(crash_model_sigma, Constant(0.05), 20.0), 0.5, 4.0)
+    val = _JumpValuation(PricingProblem(crash_model_sigma, Constant(0.05), 20.0))
     with pytest.raises(ValueError):
         val.passage_split(1.0, [-0.5])
 
