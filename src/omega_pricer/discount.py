@@ -3,7 +3,9 @@
 The pricing formulas work with the log-coordinate view eta(x) = omega(e^x)
 and its level-shifted variants eta_u(x) = omega(u e^x).  They read the rate
 only, never its slope, so kinked and discontinuous kinds (log-area, step,
-tabulated) enter exactly like smooth ones.
+tabulated) enter exactly like smooth ones.  Every kind also has a closed-form
+antiderivative in log price, A(v) with A'(v) = omega(e^v), which the Monte
+Carlo engine uses to integrate the discount exactly along drift segments.
 """
 
 from __future__ import annotations
@@ -35,6 +37,10 @@ class DiscountFn:
     def __call__(self, s):
         raise NotImplementedError
 
+    def log_antiderivative(self, v):
+        """A(v) with A'(v) = omega(e^v), vectorised over the log-price v."""
+        raise NotImplementedError
+
     @property
     def lower_bound(self) -> float:
         raise NotImplementedError
@@ -57,6 +63,9 @@ class Constant(DiscountFn):
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
         return np.full_like(s, self.r) if s.ndim else self.r
+
+    def log_antiderivative(self, v):
+        return self.r * np.asarray(v, dtype=float)
 
     @property
     def lower_bound(self) -> float:
@@ -88,6 +97,12 @@ class Step(DiscountFn):
         out = self.r + self.rho * ind
         return out if s.ndim else float(out)
 
+    def log_antiderivative(self, v):
+        v = np.asarray(v, dtype=float)
+        ly = np.log(self.y)
+        part = np.minimum(v, ly) if self.direction == "below" else np.maximum(v - ly, 0.0)
+        return self.r * v + self.rho * part
+
     @property
     def lower_bound(self) -> float:
         return min(self.r, self.r + self.rho)
@@ -107,6 +122,9 @@ class Linear(DiscountFn):
         s = np.asarray(s, dtype=float)
         out = self.C * s
         return out if s.ndim else float(out)
+
+    def log_antiderivative(self, v):
+        return self.C * np.exp(np.asarray(v, dtype=float))
 
     @property
     def lower_bound(self) -> float:
@@ -128,6 +146,11 @@ class Rational(DiscountFn):
         s = np.asarray(s, dtype=float)
         out = -self.C / (s + 1.0) - self.D
         return out if s.ndim else float(out)
+
+    def log_antiderivative(self, v):
+        # -C (v - log(1 + e^v)) = C log(1 + e^{-v}), which never overflows
+        v = np.asarray(v, dtype=float)
+        return self.C * np.logaddexp(0.0, -v) - self.D * v
 
     @property
     def lower_bound(self) -> float:
@@ -152,6 +175,9 @@ class LogArea(DiscountFn):
         s = np.asarray(s, dtype=float)
         out = np.maximum(np.log(s) - np.log(self.K), 0.0)
         return out if s.ndim else float(out)
+
+    def log_antiderivative(self, v):
+        return 0.5 * np.maximum(np.asarray(v, dtype=float) - np.log(self.K), 0.0) ** 2
 
     @property
     def lower_bound(self) -> float:
@@ -191,6 +217,21 @@ class Tabulated(DiscountFn):
             raise ValueError("evaluation outside the tabulated hull")
         out = np.interp(s, self._xs, self._ws)
         return out if s.ndim else float(out)
+
+    def log_antiderivative(self, v):
+        # omega = a_k + b_k e^v on knot piece k, so A = A(v_k) + a_k (v - v_k)
+        # + (omega(e^v) - w_k), with A = 0 at the first knot
+        v = np.asarray(v, dtype=float)
+        s = np.exp(v)
+        xs, ws = self._xs, self._ws
+        if np.any(s < xs[0]) or np.any(s > xs[-1]):
+            raise ValueError("evaluation outside the tabulated hull")
+        b = np.diff(ws) / np.diff(xs)
+        a = ws[:-1] - b * xs[:-1]
+        lx = np.log(xs)
+        at_knot = np.concatenate([[0.0], np.cumsum(a * np.diff(lx) + np.diff(ws))])
+        k = np.clip(np.searchsorted(xs, s, side="right") - 1, 0, xs.size - 2)
+        return at_knot[k] + a[k] * (v - lx[k]) + b[k] * (s - xs[k])
 
     @property
     def lower_bound(self) -> float:

@@ -1,19 +1,28 @@
 """Independent verification engine: first-entry Monte Carlo and Bermudan rollback.
 
 Paths are advanced exactly in law: exponential inter-arrival jump times,
-exact Exp(phi) jump sizes, Gaussian increments between events.  Two things
-are still discretised.  The running discount integral int omega(S) dw is a
-trapezoid on the step grid.  Barrier crossing is detected by endpoint tests,
-whose bias is quantified through step-refinement rather than corrected by
-bridge sampling.  Steps stretch adaptively far from the barrier and shrink
-back to the base step nearby, which leaves the detection bias at the
-base-step scale while keeping long horizons affordable.
+exact Exp(phi) jump sizes, Gaussian increments between events.
+
+For sigma = 0 nothing is discretised.  A path moves along its drift between
+jumps, so it steps straight to its next event: a jump, the exact time the
+drift reaches the barrier it runs towards, or the horizon.  The discount
+grows by (A(x_new) - A(x)) / zeta along each step, with A the closed-form
+antiderivative of omega in log price (DiscountFn.log_antiderivative), or by
+omega dt when zeta = 0; dt is not read.
+
+For sigma > 0 two things are discretised.  The running discount integral
+int omega(S) dw is a trapezoid on the step grid.  Barrier crossing is
+detected by endpoint tests, whose bias is quantified through step-refinement
+rather than corrected by bridge sampling.  Steps stretch adaptively far from
+the barrier and shrink back to the base step dt nearby, which leaves the
+detection bias at the base-step scale while keeping long horizons affordable.
 
 The vectorised engine keeps the live paths in compact arrays in path order
 and filters them only on a step where some path stops or reaches the
-horizon.  It carries omega at each path's current point, so a step evaluates
-omega once, at its new end, and again only where a jump moved the path.
-Each estimate reports the number of path-steps it took.
+horizon.  It carries a level at each path's current point (A where a
+sigma = 0 path drifts, omega otherwise), so a step evaluates it once, at its
+new end, and again only where a jump moved the path.  Each estimate reports
+the number of path-steps it took.
 """
 
 from __future__ import annotations
@@ -66,10 +75,15 @@ def default_t_max(omega: DiscountFn, strike: float, tol: float = 1e-4) -> float:
 # ---------------------------------------------------------------------------
 
 def _engine(zeta: float, sigma: float, lam: float, phi: float, jumps_up: bool,
-            omega_fn: Callable, payoff_fn: Callable, l: float, u: float,
-            s0: float, n_paths: int, dt: float, t_max: float, seed: int,
-            payoff_cap: float = np.inf) -> McEstimate:
-    """Vectorised first-entry estimator of E[e^{-int omega} payoff(S_tau)]."""
+            omega_fn: Callable, omega_int: Callable, payoff_fn: Callable,
+            l: float, u: float, s0: float, n_paths: int, dt: float, t_max: float,
+            seed: int, payoff_cap: float = np.inf) -> McEstimate:
+    """Vectorised first-entry estimator of E[e^{-int omega} payoff(S_tau)].
+
+    omega_fn is the rate at prices, omega_int its antiderivative in log price
+    (omega_int'(v) = omega_fn(e^v)); only sigma = 0 with a drift reads
+    omega_int, and only sigma > 0 reads dt.
+    """
     has_l = l > 0.0
     log_l = math.log(l) if has_l else -math.inf
     log_u = math.log(u)
@@ -79,7 +93,7 @@ def _engine(zeta: float, sigma: float, lam: float, phi: float, jumps_up: bool,
     rng_n = np.random.Generator(np.random.Philox(key=seed))
     rng_j = np.random.Generator(np.random.Philox(key=seed ^ 0x9E3779B97F4A7C15))
     # live set in path order: log-price, time, discount integral, next jump
-    # time, omega at the current point, path index
+    # time, the level at the current point (below), path index
     x = np.full(n_paths, x0)
     t = np.zeros(n_paths)
     d = np.zeros(n_paths)
@@ -89,26 +103,58 @@ def _engine(zeta: float, sigma: float, lam: float, phi: float, jumps_up: bool,
     censored = np.zeros(n_paths, dtype=bool)
     path = np.arange(n_paths)
     jump_dir = +1.0 if jumps_up else -1.0
-    rate_scale = abs(zeta) + sigma + (lam / phi if lam > 0.0 else 0.0)
-    m_disc = max(1.0, 0.02 / (dt * max(rate_scale, 1e-6)))
-    m_cap = max(1.0, 0.1 / dt)
-    m_max = min(m_disc, m_cap)
-    safety = 8.0
-    # sigma = 0: the barrier the drift runs towards, if it is finite
-    target = math.inf
-    if sigma == 0.0 and zeta != 0.0:
+    # the level carried per path: omega at the current point, or its
+    # antiderivative where the discount integrates in closed form along a drift
+    level = lambda v: np.asarray(omega_fn(np.exp(v)), dtype=float)
+    target = math.inf  # sigma = 0: the barrier the drift runs towards
+    if sigma > 0.0:
+        rate_scale = abs(zeta) + sigma + (lam / phi if lam > 0.0 else 0.0)
+        m_disc = max(1.0, 0.02 / (dt * max(rate_scale, 1e-6)))
+        m_cap = max(1.0, 0.1 / dt)
+        m_max = min(m_disc, m_cap)
+        safety = 8.0
+    elif zeta != 0.0:
         target = log_u if zeta < 0.0 else log_l
+        level = lambda v: np.asarray(omega_int(v), dtype=float)
     path_steps = 0
 
     with np.errstate(over="ignore"):
-        w = np.asarray(omega_fn(np.exp(x)), dtype=float)
+        w = level(x)
         while x.size:
             path_steps += x.size
-            # step stretching, provably clear of the barrier for diffusive
-            # moves: dt * clip((dist / (safety sigma))^2 / dt, 1, m_max); the
-            # in-place updates here and below keep the operation order of
-            # the written formulas, so the estimates round the same
-            if sigma > 0.0:
+            if sigma == 0.0:
+                # one step per event: a jump, the drift's exact arrival at the
+                # target barrier, or t_max; the discount integral is exact:
+                # (A(x_new) - A(x)) / zeta, or omega dt without a drift
+                dt_i = t_max - t
+                hit = np.zeros(x.size, dtype=bool)
+                if math.isfinite(target):
+                    gap = (target - x) / zeta
+                    hit = (gap > 0.0) & (gap <= dt_i)
+                    dt_i[hit] = gap[hit]
+                at_horizon = ~hit
+                if lam > 0.0:
+                    jumping = np.flatnonzero(t_jump <= t + dt_i)
+                    dt_i[jumping] = t_jump[jumping] - t[jumping]
+                    at_horizon[jumping] = False
+                    hit[jumping] = False
+                x_new = zeta * dt_i
+                x_new += x
+                x_new[hit] = target
+                w_new = level(x_new)
+                if zeta != 0.0:
+                    d_new = w_new - w
+                    d_new /= zeta
+                else:
+                    d_new = w * dt_i
+                d_new += d
+                t_new = t + dt_i
+                stopping = (x_new >= log_l) & (x_new <= log_u)
+            else:
+                # step stretching, provably clear of the barrier for diffusive
+                # moves: dt * clip((dist / (safety sigma))^2 / dt, 1, m_max);
+                # the in-place updates here and below keep the operation order
+                # of the written formulas, so the estimates round the same
                 m = np.abs(x - log_u)
                 if has_l:
                     np.minimum(m, np.abs(x - log_l), out=m)
@@ -117,41 +163,35 @@ def _engine(zeta: float, sigma: float, lam: float, phi: float, jumps_up: bool,
                 m /= dt
                 dt_i = np.clip(m, 1.0, m_max, out=m)
                 dt_i *= dt
-            else:
-                dt_i = np.full(x.size, dt * m_max)
-            if math.isfinite(target):
-                # cap at the exact deterministic boundary-crossing time
-                gap = (target - x) / zeta
-                dt_i = np.where(gap > 0.0, np.minimum(dt_i, gap + 1e-14), dt_i)
-            np.minimum(dt_i, t_max - t, out=dt_i)
-            if lam > 0.0:
-                jumping = np.flatnonzero(t_jump <= t + dt_i)
-                dt_i[jumping] = t_jump[jumping] - t[jumping]
-            # diffusion to the segment end (pre-jump position when jumping):
-            # x + zeta dt + sigma sqrt(dt) z
-            x_new = zeta * dt_i
-            x_new += x
-            if sigma > 0.0:
+                np.minimum(dt_i, t_max - t, out=dt_i)
+                if lam > 0.0:
+                    jumping = np.flatnonzero(t_jump <= t + dt_i)
+                    dt_i[jumping] = t_jump[jumping] - t[jumping]
+                # diffusion to the segment end (pre-jump position when
+                # jumping): x + zeta dt + sigma sqrt(dt) z
+                x_new = zeta * dt_i
+                x_new += x
                 dx = np.sqrt(dt_i)
                 dx *= sigma
                 dx *= rng_n.standard_normal(x.size)
                 x_new += dx
-            # trapezoid d + 0.5 (w + w_new) dt, omega carried from the step start
-            w_new = np.asarray(omega_fn(np.exp(x_new)), dtype=float)
-            d_new = w + w_new
-            d_new *= 0.5
-            d_new *= dt_i
-            d_new += d
-            t_new = t + dt_i
-            # endpoint checks at the pre-jump position
-            if has_l:
-                passed_dn = (x > log_u) & (x_new < log_l)
-                passed_up = (x < log_l) & (x_new > log_u)
-                stopping = (x_new >= log_l) & (x_new <= log_u)
-                stopping |= passed_dn
-                stopping |= passed_up
-            else:
-                stopping = x_new <= log_u
+                # trapezoid d + 0.5 (w + w_new) dt, omega carried from the step start
+                w_new = level(x_new)
+                d_new = w + w_new
+                d_new *= 0.5
+                d_new *= dt_i
+                d_new += d
+                t_new = t + dt_i
+                at_horizon = t_new >= t_max - 1e-15
+                # endpoint checks at the pre-jump position
+                if has_l:
+                    passed_dn = (x > log_u) & (x_new < log_l)
+                    passed_up = (x < log_l) & (x_new > log_u)
+                    stopping = (x_new >= log_l) & (x_new <= log_u)
+                    stopping |= passed_dn
+                    stopping |= passed_up
+                else:
+                    stopping = x_new <= log_u
             if lam > 0.0 and jumping.size:
                 jj = jumping[~stopping[jumping]]
                 if jj.size:
@@ -159,11 +199,10 @@ def _engine(zeta: float, sigma: float, lam: float, phi: float, jumps_up: bool,
                     landed = (x_new[jj] >= log_l) & (x_new[jj] <= log_u)
                     stopping[jj[landed]] = True
                     moved = jj[~landed]
-                    w_new[moved] = omega_fn(np.exp(x_new[moved]))
+                    w_new[moved] = level(x_new[moved])
                 t_jump[jumping] = t_new[jumping] \
                     + rng_j.exponential(1.0 / lam, jumping.size)
-            ending = t_new >= t_max - 1e-15
-            ending |= stopping
+            ending = at_horizon | stopping
             if not ending.any():
                 x, t, d, w = x_new, t_new, d_new, w_new
                 continue
@@ -171,7 +210,7 @@ def _engine(zeta: float, sigma: float, lam: float, phi: float, jumps_up: bool,
             censored[path[ending & ~stopping]] = True
             # stopping price: the entry point, or the barrier a step passed
             sp = np.exp(x_new[stopping])
-            if has_l:
+            if has_l and sigma > 0.0:
                 sp = np.where(passed_dn[stopping], u,
                               np.where(passed_up[stopping], l, sp))
             payoffs[path[stopping]] = np.minimum(payoff_fn(sp), payoff_cap)
@@ -200,13 +239,17 @@ def _payoff_bound(payoff_fn, u: float) -> float:
 def stopped_value(model: LevyModel, omega: DiscountFn, strike: float,
                   b: Boundaries, s0: float, n_paths: int, dt: float,
                   t_max: Optional[float] = None, seed: int = 0) -> McEstimate:
-    """MC estimate of the put value stopped on first entry into [l, u]."""
+    """MC estimate of the put value stopped on first entry into [l, u].
+
+    dt is the base step of a sigma > 0 model and is unused at sigma = 0,
+    where every path steps from event to event exactly.
+    """
     if t_max is None:
         t_max = default_t_max(omega, strike)
     payoff = lambda s: np.maximum(strike - s, 0.0)
     return _engine(model.zeta, model.sigma, model.lam, model.phi, False,
-                   omega, payoff, b.l, b.u, s0, n_paths, dt, t_max, seed,
-                   payoff_cap=strike)
+                   omega, omega.log_antiderivative, payoff, b.l, b.u, s0,
+                   n_paths, dt, t_max, seed, payoff_cap=strike)
 
 
 # ---------------------------------------------------------------------------
@@ -320,13 +363,18 @@ def symmetry_check(problem: PricingProblem, s: float, b: Boundaries,
     K = problem.strike
     payoff_call = lambda sv: np.maximum(sv - K, 0.0)
     cap = max(b.u - K, 0.0) if math.isfinite(b.u) else np.inf
+    omega_int = problem.omega.log_antiderivative
     lhs = _engine(model.zeta, model.sigma, model.lam, model.phi, False,
-                  problem.omega, payoff_call, b.l, b.u, s, n_paths, dt, t_max,
-                  seed, payoff_cap=cap)
+                  problem.omega, omega_int, payoff_call, b.l, b.u, s, n_paths,
+                  dt, t_max, seed, payoff_cap=cap)
     spec = putcall_transform(problem, s, b)
     payoff_put = lambda sv: np.maximum(spec.strike - sv, 0.0)
     u_eff = spec.u if math.isfinite(spec.u) else 1e12
+    # the dual rate omega(sK e^{-v}) - psi(1) integrates to -A(log(sK) - v) - psi(1) v
+    log_sk = math.log(s * K)
+    dual_int = lambda v: -omega_int(log_sk - v) - spec.psi1 * v
     rhs = _engine(spec.drift, spec.sigma, spec.jump_rate, spec.jump_decay,
-                  spec.jumps_up, spec.discount, payoff_put, spec.l, u_eff,
-                  spec.spot, n_paths, dt, t_max, seed + 1, payoff_cap=spec.strike)
+                  spec.jumps_up, spec.discount, dual_int, payoff_put, spec.l,
+                  u_eff, spec.spot, n_paths, dt, t_max, seed + 1,
+                  payoff_cap=spec.strike)
     return lhs, rhs

@@ -590,16 +590,22 @@ def hjb_residual(result: PricingResult, problem: PricingProblem,
     In the stopping region reports the variational-inequality side
     max(A V - omega g, 0) instead.  Derivatives are central differences on
     the stored curve; the jump expectation integrates the curve against the
-    exponential jump law above u, the payoff K - s in closed form on [l, u]
-    and, below l > 0, result.value_fn by quadrature.
+    exponential jump law above u on the curve's nodes, the payoff K - s in
+    closed form on [l, u] and, below l > 0, result.value_fn by quadrature.
+    The stencil's relative error grows like (ds/s)^2, so default continuation
+    samples start at the fixed level 0.2 K (ds/s <= 0.02 on a 512-point
+    curve); the residual then falls with the curve's step instead of
+    measuring the stencil at its smallest sample.
     """
     model, omega, K = problem.model, problem.omega, problem.strike
     s = result.s_grid
     v = result.values
     l_star, u_star = result.l_star, result.u_star
     ds = s[1] - s[0]
+    s_floor = 0.0
     if samples is None:
         samples = s[4:-4:8]
+        s_floor = 0.2 * K
     mu = model.mu
     sig2 = model.sigma ** 2
     lam, phi = model.lam, model.phi
@@ -628,7 +634,7 @@ def hjb_residual(result: PricingResult, problem: PricingProblem,
         analytic = (w_in / si) ** phi * (K - w_in * phi / (phi + 1.0)) if w_in > 0 else 0.0
         numeric = 0.0
         if si > u_star:
-            wgrid = np.linspace(u_star, si, 257)
+            wgrid = np.concatenate([[u_star], s[(s > u_star) & (s < si)], [si]])
             vals = v_at(wgrid) * wgrid ** (phi - 1.0)
             numeric = phi / si ** phi * np.trapezoid(vals, wgrid)
         return lam * (analytic + numeric + excess_below_l(si) - vi)
@@ -643,6 +649,8 @@ def hjb_residual(result: PricingResult, problem: PricingProblem,
             gen = -mu * si + (lam * (si / (phi + 1.0) + excess_below_l(si)) if lam > 0.0 else 0.0)
             resid = gen - float(omega(si)) * (K - si)
             worst_stop = max(worst_stop, resid)
+            continue
+        if si < s_floor:
             continue
         if abs(si - u_star) < 2 * ds or (l_star > 0 and abs(si - l_star) < 2 * ds):
             continue  # stencil would straddle the kink

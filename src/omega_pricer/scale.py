@@ -279,11 +279,23 @@ _CORE_RTOL = 1e-11
 _CORE_MARGIN = 3.0   # start this far above log(s_hi) so the start error decays by then
 
 
-def _dense_solve(rhs, span, v0):
-    """Dense LSODA solution of v' = rhs(y, v) over span at the core tolerance."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        sol = solve_ivp(rhs, span, v0, method="LSODA", rtol=_CORE_RTOL,
-                        atol=1e-3 * _CORE_RTOL, dense_output=True)
+def _dense_solve(rhs, span, v0, fast: float):
+    """Dense LSODA solution of v' = rhs(y, v) over span at the core tolerance.
+
+    The caller has read the rate at both ends of the range, so a ValueError
+    out of the solver is the solver's own: for sigma near 0 the fast mode of
+    the state system (frozen exponent fast, about -2 zeta / sigma^2) asks for
+    steps in y below the spacing of doubles, and LSODA's dense output gets
+    two equal step times.
+    """
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            sol = solve_ivp(rhs, span, v0, method="LSODA", rtol=_CORE_RTOL,
+                            atol=1e-3 * _CORE_RTOL, dense_output=True)
+    except ValueError as err:
+        raise RuntimeError(f"recessive basis cannot resolve its fast frozen exponent "
+                           f"{fast:.3g} in double precision ({err}); "
+                           f"price with sigma = 0 or a larger sigma") from err
     if not np.all(np.abs(sol.y) < 1e300):  # also catches inf and nan
         raise OverflowError("recessive basis leaves double range; narrow [s_lo, s_hi]")
     if not sol.success:
@@ -337,13 +349,16 @@ class RecessiveBasis:
             raise RuntimeError(f"no separated dominant mode at s = {math.exp(y_hi):.4g}: "
                                f"frozen exponents {lam}")
         w0 = vec[:, by_re[-1]].real
+        self._fast = float(lam[by_re[0]].real)
+        fn(math.exp(self.y_lo))  # a rate undefined at the bottom raises here, not in LSODA
 
         def rhs(y, w):
             # unit-norm adjoint: w' = -A^T w + (w . A^T w) w
             atw = g * w + fn(math.exp(y)) * w.sum() * ups
             return (w @ atw) * w - atw
 
-        self._normal = _dense_solve(rhs, (y_hi, self.y_lo), w0 / np.linalg.norm(w0))
+        self._normal = _dense_solve(rhs, (y_hi, self.y_lo), w0 / np.linalg.norm(w0),
+                                    self._fast)
         self._forward = (None, None)
 
     def _check(self, y) -> None:
@@ -405,7 +420,8 @@ class RecessiveBasis:
                 return (g[:, None] * p + fn(math.exp(y)) * (ups @ p)).ravel()
 
             try:
-                sol = _dense_solve(rhs, (max(y0, self.y_lo), self.y_top), self.state(y0).ravel())
+                sol = _dense_solve(rhs, (max(y0, self.y_lo), self.y_top),
+                                   self.state(y0).ravel(), self._fast)
             finally:
                 held.clear()
             self._forward = (y0, sol)

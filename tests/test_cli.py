@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from conftest import kummer_tail_constant
 
-from omega_pricer.cli import EXIT_CONFIG, EXIT_OK, load_config, main, run
+from omega_pricer.cli import EXIT_CONFIG, EXIT_NUMERICS, EXIT_OK, load_config, main, run
 
 
 def _read_summary(path):
@@ -137,6 +137,16 @@ def test_two_sided_price_writes_l_condition_and_hjb(tmp_path):
     assert summary["l_condition"] == "kink"
     assert float(summary["hjb_continuation_sup"]) < 1e-3
     assert float(summary["hjb_stopping_violation"]) <= 1e-12
+
+
+@pytest.mark.parametrize("sigma", [1e-5, 1e-8])
+def test_unresolvable_small_sigma_is_numerics_error(tmp_path, sigma):
+    # the fast frozen exponent -2 zeta / sigma^2 is beyond double steps in y
+    cfg = load_config(overrides={
+        "model": {"sigma": sigma, "lam": 3.0, "phi": 1.5, "r": 0.05},
+        "discount": {"kind": "linear", "c": 0.1}})
+    assert run(cfg, tmp_path, quiet=True) == EXIT_NUMERICS
+    assert "fast frozen exponent" in _read_summary(tmp_path / "summary.txt")["error"]
 
 
 def test_unsupported_combination_is_config_error(tmp_path):

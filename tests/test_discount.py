@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from omega_pricer import (
     Constant,
@@ -103,3 +104,45 @@ def test_nonnegativity_gate():
     assert not Rational(0.001, 0.01).is_nonnegative
     assert not Step(-0.02, 0.12, 1.0).is_nonnegative
 
+
+
+# (rate, interval end points in log price, kinks of omega(e^v) inside them)
+ANTIDERIVATIVE_CASES = {
+    "constant": (Constant(0.05), (-2.0, 4.5), ()),
+    "linear": (Linear(0.1), (-2.0, 4.5), ()),
+    "rational": (Rational(0.001, 0.01), (-2.0, 4.5), ()),
+    "log_area": (LogArea(20.0), (2.5, 4.5), (np.log(20.0),)),
+    "step_below": (Step(0.05, 0.02, 15.0), (1.0, 4.5), (np.log(15.0),)),
+    "step_above": (Step(-0.02, 0.12, 1.0, "above"), (-2.0, 3.0), (0.0,)),
+    "tabulated": (Tabulated((0.5, 2.0, 10.0, 40.0), (0.01, 0.03, 0.06, 0.07)),
+                  (np.log(0.6), np.log(39.0)), tuple(np.log([2.0, 10.0]))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ANTIDERIVATIVE_CASES))
+def test_log_antiderivative_matches_quadrature(case):
+    """A(b) - A(a) = int_a^b omega(e^v) dv to 1e-12 relative, in both
+    directions, on the whole interval (across every kink) and on pieces that
+    end between kinks."""
+    fn, (lo, hi), kinks = ANTIDERIVATIVE_CASES[case]
+    cut = lo + 0.37 * (hi - lo)
+    for a, b in ((lo, hi), (hi, lo), (lo, cut), (cut, hi)):
+        left, right = min(a, b), max(a, b)
+        inside = [k for k in kinks if left < k < right]
+        ref = quad(lambda v: float(fn(np.exp(v))), left, right, points=inside or None,
+                   epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        if a > b:
+            ref = -ref
+        got = float(fn.log_antiderivative(b) - fn.log_antiderivative(a))
+        assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+    # vectorised evaluation agrees with the scalar one
+    vs = np.linspace(lo, hi, 7)
+    assert np.array_equal(fn.log_antiderivative(vs),
+                          [float(fn.log_antiderivative(v)) for v in vs])
+
+
+def test_tabulated_antiderivative_rejects_outside_hull():
+    fn = Tabulated((0.5, 2.0, 10.0), (0.01, 0.03, 0.06))
+    for v in (np.log(0.4), np.log(11.0), np.array([0.0, np.log(12.0)])):
+        with pytest.raises(ValueError):
+            fn.log_antiderivative(v)

@@ -8,6 +8,7 @@ from omega_pricer import Constant, LevyModel, Linear, Step
 from omega_pricer.levy import laplace_exponent
 from omega_pricer.pricer import Boundaries, PricingProblem, optimize_boundaries, value_jump
 from omega_pricer.mc import (
+    _engine,
     bermudan_dp,
     bermudan_value_at,
     default_t_max,
@@ -129,14 +130,16 @@ def test_stopped_value_two_sided_sigma_pos_vs_analytic(s0):
 
 # (mean, stderr, censored_fraction, truncation_mass) to 1e-12: a change to the
 # engine's cost must leave these bits alone, a change to the estimator moves them
+# (the sigma = 0 cases were re-pinned when their paths began to step from
+# event to event with the discount integrated exactly)
 PINNED = {
-    "crash_linear": (6.268786514335409, 0.06572590514549824, 0.0, 0.0),
+    "crash_linear": (6.246430095417811, 0.06542097263250458, 0.0, 0.0),
     "bs_constant": (5.0369225065402174, 0.02766567126967135, 0.1064,
                     0.0052747846319455),
     "jump_step": (11.21575766219304, 0.042376382912684266, 0.0, 0.0),
-    "symmetry": ((5.630425144797729, 0.049480378852439645, 0.2776, 7.197789832143572),
-                 (5.6520470503059235, 0.006631384872818921, 0.0068,
-                  0.12936720173209704)),
+    "symmetry": ((5.685784456261715, 0.04914128556415137, 0.271, 7.026660823166095),
+                 (5.639960244079621, 0.0075323999049838435, 0.0088,
+                  0.1674163787121255)),
 }
 
 
@@ -174,6 +177,61 @@ def test_path_steps_count(bs_model):
     now = stopped_value(bs_model, Constant(0.05), 20.0, Boundaries(0.0, 16.0),
                         15.0, 1000, 0.125, t_max=1.0, seed=8)
     assert now.path_steps == 0
+
+
+def test_sigma0_estimate_ignores_dt(crash_model):
+    """sigma = 0 paths step from event to event with the discount integrated
+    in closed form, so dt has no effect, one-sided or two-sided."""
+    two_sided = LevyModel.calibrated(r=0.30, sigma=0.0, lam=0.5, phi=3.0)
+    cases = ((crash_model, Linear(0.1), Boundaries(0.0, 12.0), 15.0),
+             (two_sided, Step(-0.02, 0.12, 1.0, "above"), Boundaries(3.0, 4.0), 1.5))
+    for model, fn, b, s0 in cases:
+        kw = dict(n_paths=5000, t_max=60.0, seed=31)
+        fine = stopped_value(model, fn, 20.0, b, s0, dt=1e-3, **kw)
+        coarse = stopped_value(model, fn, 20.0, b, s0, dt=1e-2, **kw)
+        assert fine == coarse
+        assert fine.mean > 0.0
+
+
+def test_sigma0_steps_per_path(crash_model):
+    # one step per jump plus the last one: about 4.5 per path, where a 1e-3
+    # base step with stretching took about 190
+    n = 20_000
+    est = stopped_value(crash_model, Linear(0.1), 20.0, Boundaries(0.0, 12.0888925),
+                        15.0, n, 1e-3, t_max=60.0, seed=12)
+    assert est.path_steps < 10 * n
+
+
+def test_sigma0_no_drift_closed_form():
+    """Drift-free pure-jump model: the discount is omega dt per step.  From
+    s0 > u the put stops after N = 1 + Poisson(phi a) jumps, a = log(s0/u),
+    and lands at u e^{-Exp(phi)}, so V = q e^{-phi a (1 - q)} (K - u phi/(phi+1))
+    with q = lam / (lam + r)."""
+    model = LevyModel(mu=0.0, sigma=0.0, lam=2.0, phi=3.0)
+    r, K, u, s0 = 0.05, 20.0, 12.0, 15.0
+    q = model.lam / (model.lam + r)
+    a = math.log(s0 / u)
+    ref = q * math.exp(-model.phi * a * (1.0 - q)) * (K - u * model.phi / (model.phi + 1.0))
+    est = stopped_value(model, Constant(r), K, Boundaries(0.0, u), s0, 50_000, 1e-3,
+                        t_max=60.0, seed=13)
+    assert abs(est.mean - ref) < 3.0 * est.stderr
+    assert est.censored_fraction == 0.0
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.2])
+def test_engine_plain_omega_function(sigma):
+    """The engine reads the rate only through the callables it is given: a
+    plain function in place of the DiscountFn (as a counting wrapper passes
+    it) gives the same estimate bit for bit."""
+    model = LevyModel.calibrated(r=0.05, sigma=sigma, lam=6.0, phi=2.0)
+    fn = Linear(0.1)
+    ref = stopped_value(model, fn, 20.0, Boundaries(0.0, 12.0), 15.0, 2000, 1e-3,
+                        t_max=60.0, seed=7)
+    got = _engine(model.zeta, model.sigma, model.lam, model.phi, False,
+                  lambda s: fn(s), fn.log_antiderivative,
+                  lambda s: np.maximum(20.0 - s, 0.0), 0.0, 12.0, 15.0, 2000, 1e-3,
+                  60.0, 7, payoff_cap=20.0)
+    assert got == ref
 
 
 def test_truncation_mass_reported(bs_model):
@@ -251,6 +309,17 @@ def test_symmetry_jump_two_sides_agree(crash_model_sigma):
                               60.0, seed=9)
     comb = math.hypot(lhs.stderr, rhs.stderr)
     assert abs(lhs.mean - rhs.mean) < 3.0 * comb
+
+
+def test_symmetry_sigma0_two_sides_agree(crash_model):
+    # a rate step at s = 10 that paths of both sides cross: the dual side
+    # integrates the transformed rate through its own antiderivative
+    pb = PricingProblem(crash_model, Step(0.06, 0.03, 10.0), 20.0, "call")
+    lhs, rhs = symmetry_check(pb, 20.0, Boundaries(28.0, 55.0), 30_000, 2e-3,
+                              60.0, seed=9)
+    comb = math.hypot(lhs.stderr, rhs.stderr)
+    assert abs(lhs.mean - rhs.mean) < 3.0 * comb
+    assert not lhs.unreliable and not rhs.unreliable
 
 
 def test_symmetry_degenerate_point_interval(bs_model):

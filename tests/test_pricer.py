@@ -331,6 +331,21 @@ def test_sigma_pos_results_pinned(crash_model_sigma, contract):
     assert res.value_fn(s) == pytest.approx(np.array(list(v_ref.values())), rel=1e-8)
 
 
+@pytest.mark.parametrize("sigma", [3e-5, 1e-5, 1e-8])
+def test_small_sigma_prices_or_raises_typed(sigma):
+    """sigma = 3e-5 prices (u* next to the sigma = 0 value 13.8223476); below
+    it the fast frozen exponent (about -2 zeta / sigma^2) needs steps in y
+    that doubles do not resolve, and the basis says so in a RuntimeError."""
+    model = LevyModel.calibrated(r=0.05, sigma=sigma, lam=3.0, phi=1.5)
+    pb = PricingProblem(model, Linear(0.1), 20.0)
+    if sigma == 3e-5:
+        assert optimize_boundaries(pb, n_curve=64).u_star == pytest.approx(
+            13.822348327230745, rel=1e-10)
+    else:
+        with pytest.raises(RuntimeError, match="fast frozen exponent"):
+            optimize_boundaries(pb, n_curve=64)
+
+
 def test_sigma_pos_crash_without_fit_root_raises(crash_model_sigma):
     """A smooth-fit residual without a sign change on (0.02K, K) is an error,
     not a silent fallback to the value maximiser."""
@@ -486,6 +501,17 @@ def test_hjb_two_sided(sigma):
     res = hjb_residual(optimize_boundaries(pb), pb)
     assert res["continuation_sup"] < 1e-3
     assert res["stopping_violation"] <= 1e-12
+
+
+def test_hjb_residual_converges_with_grid():
+    """The default samples measure the value, not the stencil: the sigma = 0
+    two-sided residual falls at least 10x when the curve step falls 4x (the
+    first samples at s = 0.39 and 0.098, ds/s = 0.2, held it at 4.9e-4)."""
+    pb = _step_two_sided(0.0)
+    sups = [hjb_residual(optimize_boundaries(pb, n_curve=n), pb)["continuation_sup"]
+            for n in (512, 2048)]
+    assert sups[1] < 0.1 * sups[0]
+    assert sups[0] < 1e-4
 
 
 # ---------------------------------------------------------------------------
