@@ -15,7 +15,6 @@ from .discount import (
     Step,
     Tabulated,
     check_flat_below_one,
-    shift_tilt,
 )
 from .scale import LogGrid, ScaleTable, build_scale_table
 from .pricer import Boundaries, PricingProblem, PricingResult, optimize_boundaries
@@ -32,7 +31,6 @@ __all__ = [
     "LogArea",
     "Tabulated",
     "check_flat_below_one",
-    "shift_tilt",
     "LogGrid",
     "ScaleTable",
     "build_scale_table",

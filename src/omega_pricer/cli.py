@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from . import discount as _discount
-from .discount import check_flat_below_one, shift_tilt
 from .levy import LevyModel
 from .mc import bermudan_dp, bermudan_value_at, stopped_value, symmetry_check
 from .pricer import Boundaries, PricingProblem, hjb_residual, optimize_boundaries
@@ -258,9 +257,7 @@ def run(cfg: dict, out_dir: Path, quiet: bool = False) -> int:
                 summary["curve_file"] = "value_curve.csv"
         elif task == "scale":
             grid = LogGrid(num["x_max"], num["grid_n"])
-            flat = check_flat_below_one(omega)
-            tab = build_scale_table(model, shift_tilt(omega, 1.0), grid,
-                                    want_h=flat is not None, flat_level=flat)
+            tab = build_scale_table(model, omega, grid)
             xs = grid.nodes()
             with open(out_dir / "scale_table.csv", "w", newline="\n") as fh:
                 fh.write("x,W,Z,H\n")

@@ -1,11 +1,11 @@
-"""Discount functions omega(s) and their log-coordinate transforms.
+"""Discount functions omega(s).
 
-The pricing formulas work with the log-coordinate view eta(x) = omega(e^x)
-and its level-shifted variants eta_u(x) = omega(u e^x).  They read the rate
-only, never its slope, so kinked and discontinuous kinds (log-area, step,
-tabulated) enter exactly like smooth ones.  Every kind also has a closed-form
-antiderivative in log price, A(v) with A'(v) = omega(e^v), which the Monte
-Carlo engine uses to integrate the discount exactly along drift segments.
+The pricing formulas read omega in absolute log price, y -> omega(e^y).
+They read the rate only, never its slope, so kinked and discontinuous kinds
+(log-area, step, tabulated) enter exactly like smooth ones.  Every kind also
+has a closed-form antiderivative in log price, A(v) with A'(v) = omega(e^v),
+which the Monte Carlo engine uses to integrate the discount exactly along
+drift segments.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ __all__ = [
     "Rational",
     "LogArea",
     "Tabulated",
-    "LogDiscount",
-    "shift_tilt",
     "check_flat_below_one",
 ]
 
@@ -189,10 +187,11 @@ class LogArea(DiscountFn):
 
 @dataclass(frozen=True)
 class Tabulated(DiscountFn):
-    """Monotone piecewise-linear interpolation of (s_k, omega_k) knots.
+    """Piecewise-linear interpolation of (s_k, omega_k) knots.
 
-    Evaluation outside the knot hull is rejected; concavity of the knots
-    implies concavity of the interpolant.
+    knots_s must be positive and strictly increasing; knots_w are arbitrary
+    (omega need not be monotone).  Evaluation outside the knot hull is
+    rejected; concavity of the knots implies concavity of the interpolant.
     """
 
     knots_s: tuple
@@ -241,42 +240,19 @@ class Tabulated(DiscountFn):
         return {"knots_s": list(self._xs), "knots_w": list(self._ws)}
 
 
-@dataclass(frozen=True)
-class LogDiscount:
-    """The map x -> omega(u e^x), i.e. eta_u in log coordinates."""
-
-    base: DiscountFn
-    shift: float = 0.0  # log u
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        s = np.exp(x + self.shift)
-        out = self.base(s)
-        return out if x.ndim else float(out)
-
-
-def shift_tilt(fn: DiscountFn, u: float) -> LogDiscount:
-    """LogDiscount evaluating x -> omega(u e^x)."""
-    if u <= 0.0:
-        raise ValueError("u must be > 0")
-    return LogDiscount(fn, shift=float(np.log(u)))
-
-
 def check_flat_below_one(fn: DiscountFn) -> Optional[float]:
     """Constant value of omega on (0, 1], or None if omega varies there.
 
-    Kind introspection first, then a sampled-grid confirmation.  The
-    certificate gates the upward-passage (H) branches of the pricer.
+    Decided by kind alone: an unknown kind gets None, since sampling a rate
+    can miss a feature between samples.  The certificate gates the
+    upward-passage (H) branches of the pricer and the H table of the scale
+    task.
     """
     if fn.kind == "constant":
         return fn.r
     if fn.kind == "step":
         if fn.y >= 1.0:
             return fn.r + fn.rho if fn.direction == "below" else fn.r
-        return None
-    if fn.kind == "linear":
-        return None
-    if fn.kind == "rational":
         return None
     if fn.kind == "log_area":
         return 0.0 if fn.K >= 1.0 else None
@@ -291,9 +267,4 @@ def check_flat_below_one(fn: DiscountFn) -> Optional[float]:
             return None
         # hull does not reach 0+, so flatness below the first knot is unverifiable
         return float(v1) if xs[0] <= 1e-6 else None
-    # generic fallback: sample a log grid on (0, 1]
-    xs = np.exp(np.linspace(np.log(1e-8), 0.0, 257))
-    vals = np.asarray(fn(xs), dtype=float)
-    if np.max(np.abs(vals - vals[-1])) <= 1e-12 * max(1.0, abs(vals[-1])):
-        return float(vals[-1])
     return None

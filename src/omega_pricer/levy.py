@@ -15,19 +15,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "LevyModel",
     "RootDecomposition",
     "laplace_exponent",
     "laplace_exponent_deriv",
-    "phi_right_inverse",
     "psi_roots",
     "martingale_drift",
 ]
-
-_ROOT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -121,41 +117,6 @@ def laplace_exponent_deriv(model: LevyModel, theta):
     return out
 
 
-def phi_right_inverse(model: LevyModel, q: float) -> float:
-    """Largest theta >= 0 with psi(theta) = q, for q >= 0."""
-    if q < 0.0:
-        raise ValueError("q must be >= 0")
-    psi = lambda t: laplace_exponent(model, t)
-    if q == 0.0:
-        if laplace_exponent_deriv(model, 0.0) >= 0.0:
-            return 0.0
-        # psi dips negative right of 0, so a strictly positive root exists
-        hi = 1.0
-        for _ in range(200):
-            if psi(hi) > 0.0:
-                break
-            hi *= 2.0
-        else:
-            raise RuntimeError(f"failed to bracket Phi(0): psi({hi}) = {psi(hi)}")
-        lo = hi / 2.0
-        for _ in range(2000):
-            if psi(lo) < 0.0:
-                break
-            lo /= 2.0
-        else:
-            return 0.0
-        return brentq(psi, lo, hi, xtol=_ROOT_TOL, rtol=8.881784197001252e-16)
-    hi = 1.0
-    for _ in range(200):
-        if psi(hi) > q:
-            break
-        hi *= 2.0
-    else:
-        raise RuntimeError(f"failed to bracket Phi({q}): psi({hi}) = {psi(hi)} <= {q}")
-    f = lambda t: psi(t) - q
-    return brentq(f, 0.0, hi, xtol=_ROOT_TOL, rtol=8.881784197001252e-16)
-
-
 def _quadratic_roots(a: float, b: float, c: float) -> tuple:
     """Stable real roots of a x^2 + b x + c = 0 (two roots, possibly complex)."""
     disc = b * b - 4.0 * a * c
@@ -175,16 +136,20 @@ def psi_roots(model: LevyModel, q: float = 0.0) -> RootDecomposition:
     The roots are those of the polynomial numerator of (phi+theta)(psi-q),
     which includes the analytic continuation past the pole at -phi.  They are
     real for q >= 0 in the supported models; complex pairs (possible for
-    q < 0) are rejected.
+    q < 0) are rejected.  For sigma > 0 one root runs off like
+    -2 zeta / sigma^2 as sigma -> 0; a RuntimeError names it when double
+    precision cannot hold it or its weight.
     """
     sig2 = model.sigma ** 2
+    if model.sigma > 0.0 and sig2 == 0.0:
+        raise _fast_root_error(model, q)
     if model.lam == 0.0:
         # quadratic: sigma^2/2 g^2 + zeta g - q = 0
-        if sig2 == 0.0:
+        if model.sigma == 0.0:
             raise ValueError("model must have sigma > 0 or jumps")
         r1, r2 = _quadratic_roots(0.5 * sig2, model.zeta, -q)
         roots = [r1, r2]
-    elif sig2 == 0.0:
+    elif model.sigma == 0.0:
         # mu g (phi + g) - lam g - q (phi + g) = 0
         mu, lam, phi = model.mu, model.lam, model.phi
         if q == 0.0:
@@ -213,19 +178,32 @@ def psi_roots(model: LevyModel, q: float = 0.0) -> RootDecomposition:
     cleaned.sort()
     # polish with Newton steps on psi - q (roots beyond the pole included)
     gammas = []
-    for g in cleaned:
-        if model.lam == 0.0 or abs(g + model.phi) > 1e-9:
-            for _ in range(3):
-                d = _psi_continued_deriv(model, g)
-                f = _psi_continued(model, g) - q
-                if d != 0.0 and np.isfinite(d):
-                    g = g - f / d
-        gammas.append(g)
-    derivs = [_psi_continued_deriv(model, g) for g in gammas]
-    if any(d == 0.0 or not np.isfinite(d) for d in derivs):
+    try:
+        for g in cleaned:
+            if model.lam == 0.0 or abs(g + model.phi) > 1e-9:
+                for _ in range(3):
+                    d = laplace_exponent_deriv(model, g)
+                    f = _psi_continued(model, g) - q
+                    if d != 0.0 and np.isfinite(d):
+                        g = g - f / d
+            gammas.append(g)
+        derivs = [laplace_exponent_deriv(model, g) for g in gammas]
+    except OverflowError as err:  # (phi + g)**2 past the double range
+        raise _fast_root_error(model, q) from err
+    if any(d == 0.0 for d in derivs):
         raise ValueError(f"degenerate (multiple) root in psi - {q}; weights undefined")
     ups = [1.0 / d for d in derivs]
+    if not np.all(np.isfinite(gammas + ups)):
+        raise _fast_root_error(model, q)
     return RootDecomposition(gammas=tuple(gammas), upsilons=tuple(ups), q=q)
+
+
+def _fast_root_error(model: LevyModel, q: float) -> RuntimeError:
+    sig2 = model.sigma ** 2
+    fast = -2.0 * model.zeta / sig2 if sig2 > 0.0 else -math.copysign(math.inf, model.zeta)
+    return RuntimeError(f"psi_roots cannot resolve the fast root of psi = {q} "
+                        f"(about -2 zeta / sigma^2 = {fast:.3g}) in double precision "
+                        f"at sigma = {model.sigma:.3g}; price with sigma = 0 or a larger sigma")
 
 
 def _psi_continued(model: LevyModel, theta: float) -> float:
@@ -235,9 +213,3 @@ def _psi_continued(model: LevyModel, theta: float) -> float:
         out -= model.lam * theta / (model.phi + theta)
     return out
 
-
-def _psi_continued_deriv(model: LevyModel, theta: float) -> float:
-    out = model.zeta + model.sigma ** 2 * theta
-    if model.lam > 0.0:
-        out -= model.lam * model.phi / (model.phi + theta) ** 2
-    return out

@@ -62,12 +62,12 @@ class McEstimate:
         return self.truncation_mass > 0.01 * max(abs(self.mean), 1e-12)
 
 
-def default_t_max(omega: DiscountFn, strike: float, tol: float = 1e-4) -> float:
-    """Horizon making the censored payoff bound e^{-inf(omega) t} K < tol."""
+def default_t_max(omega: DiscountFn, strike: float) -> float:
+    """Horizon making the censored payoff bound e^{-inf(omega) t} K < 1e-4."""
     lb = omega.lower_bound
     if lb <= 0.0:
         raise ValueError("omega not bounded away from zero below; pass t_max explicitly")
-    return math.log(strike / tol) / lb
+    return math.log(strike / 1e-4) / lb
 
 
 # ---------------------------------------------------------------------------
@@ -256,19 +256,21 @@ def stopped_value(model: LevyModel, omega: DiscountFn, strike: float,
 # Bermudan dynamic programming
 # ---------------------------------------------------------------------------
 
-def _increment_bin_masses(model: LevyModel, delta: float, dx: float,
-                          max_jumps: int = 3) -> tuple:
+_MAX_JUMPS = 3  # jump events per Bermudan step; the rest is reported as residual mass
+
+
+def _increment_bin_masses(model: LevyModel, delta: float, dx: float) -> tuple:
     """Bin masses of the one-step log-increment on an offset grid.
 
     Gaussian part exact via the error function; jump components convolve the
     Gaussian with Erlang(k, phi) by Gauss-Legendre quadrature, truncated at
-    max_jumps events with the residual mass reported.
+    _MAX_JUMPS events with the residual mass reported.
     """
     m_mean = model.zeta * delta
     sd = model.sigma * math.sqrt(delta)
     lam, phi = model.lam, model.phi
     # jump span sized so the truncated Erlang tail is ~1e-11
-    jump_span = (max_jumps + 28.0) / phi if lam > 0.0 else 0.0
+    jump_span = (_MAX_JUMPS + 28.0) / phi if lam > 0.0 else 0.0
     span = abs(m_mean) + 8.0 * sd + jump_span
     half = int(math.ceil(span / dx)) + 1
     offs = np.arange(-half, half + 1) * dx
@@ -283,13 +285,13 @@ def _increment_bin_masses(model: LevyModel, delta: float, dx: float,
         masses = np.diff(gauss_cdf(edges))
         return offs, masses, 0.0, float(abs(1.0 - masses.sum()))
     p_k = [math.exp(-lam * delta) * (lam * delta) ** k / math.factorial(k)
-           for k in range(max_jumps + 1)]
+           for k in range(_MAX_JUMPS + 1)]
     masses = p_k[0] * np.diff(gauss_cdf(edges))
     nodes, weights = np.polynomial.legendre.leggauss(128)
-    y_hi = (max_jumps + 28.0) / phi
+    y_hi = (_MAX_JUMPS + 28.0) / phi
     yq = 0.5 * y_hi * (nodes + 1.0)
     wq = 0.5 * y_hi * weights
-    for k in range(1, max_jumps + 1):
+    for k in range(1, _MAX_JUMPS + 1):
         dens = phi ** k * yq ** (k - 1) * np.exp(-phi * yq) / math.factorial(k - 1)
         cdf_at = gauss_cdf(edges[None, :] + yq[:, None])  # increment = G - y
         masses = masses + p_k[k] * (wq * dens) @ np.diff(cdf_at, axis=1)
@@ -299,23 +301,21 @@ def _increment_bin_masses(model: LevyModel, delta: float, dx: float,
 
 
 def bermudan_dp(model: LevyModel, omega: DiscountFn, strike: float,
-                t_horizon: float, n_dates: int, x_lo: Optional[float] = None,
-                x_hi: Optional[float] = None, n_grid: int = 2049) -> dict:
+                t_horizon: float, n_dates: int, n_grid: int = 2049) -> dict:
     """Backward recursion for the Bermudan put on an n_dates mesh.
 
-    One-step expectations are quadratures against the exact increment law;
-    discounting within a step splits omega trapezoidally between the two step
-    endpoints.  Returns the date-zero curve on the log grid together with
-    kernel mass diagnostics.
+    The log grid spans [log(0.005 K), log(4 K)] widened on each side by
+    |zeta| t_horizon + 6 sigma sqrt(t_horizon).  One-step expectations are
+    quadratures against the exact increment law; discounting within a step
+    splits omega trapezoidally between the two step endpoints.  Returns the
+    date-zero curve on the log grid together with kernel mass diagnostics.
     """
     K = strike
     delta = t_horizon / n_dates
-    if x_lo is None:
-        x_lo = math.log(0.005 * K) - abs(model.zeta) * t_horizon \
-            - 6.0 * model.sigma * math.sqrt(t_horizon)
-    if x_hi is None:
-        x_hi = math.log(4.0 * K) + abs(model.zeta) * t_horizon \
-            + 6.0 * model.sigma * math.sqrt(t_horizon)
+    x_lo = math.log(0.005 * K) - abs(model.zeta) * t_horizon \
+        - 6.0 * model.sigma * math.sqrt(t_horizon)
+    x_hi = math.log(4.0 * K) + abs(model.zeta) * t_horizon \
+        + 6.0 * model.sigma * math.sqrt(t_horizon)
     xs = np.linspace(x_lo, x_hi, n_grid)
     dx = xs[1] - xs[0]
     offs, masses, residual, mass_err = _increment_bin_masses(model, delta, dx)

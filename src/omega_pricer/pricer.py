@@ -583,16 +583,16 @@ def convexity_margin(result: PricingResult, stride: Optional[int] = None) -> flo
     return float(np.min(d2))
 
 
-def hjb_residual(result: PricingResult, problem: PricingProblem,
-                 samples: Optional[np.ndarray] = None) -> dict:
+def hjb_residual(result: PricingResult, problem: PricingProblem) -> dict:
     """Scaled sup-norm of (A - omega)V over continuation samples.
 
-    In the stopping region reports the variational-inequality side
+    The samples are every eighth node of the stored curve, s[4:-4:8].  In
+    the stopping region it reports the variational-inequality side
     max(A V - omega g, 0) instead.  Derivatives are central differences on
     the stored curve; the jump expectation integrates the curve against the
     exponential jump law above u on the curve's nodes, the payoff K - s in
     closed form on [l, u] and, below l > 0, result.value_fn by quadrature.
-    The stencil's relative error grows like (ds/s)^2, so default continuation
+    The stencil's relative error grows like (ds/s)^2, so continuation
     samples start at the fixed level 0.2 K (ds/s <= 0.02 on a 512-point
     curve); the residual then falls with the curve's step instead of
     measuring the stencil at its smallest sample.
@@ -602,10 +602,8 @@ def hjb_residual(result: PricingResult, problem: PricingProblem,
     v = result.values
     l_star, u_star = result.l_star, result.u_star
     ds = s[1] - s[0]
-    s_floor = 0.0
-    if samples is None:
-        samples = s[4:-4:8]
-        s_floor = 0.2 * K
+    samples = s[4:-4:8]
+    s_floor = 0.2 * K
     mu = model.mu
     sig2 = model.sigma ** 2
     lam, phi = model.lam, model.phi
@@ -641,7 +639,7 @@ def hjb_residual(result: PricingResult, problem: PricingProblem,
 
     worst_cont = 0.0
     worst_stop = 0.0
-    for si in np.atleast_1d(samples):
+    for si in samples:
         if si <= s[1] + ds or si >= s[-2] - ds:
             continue
         vi = float(v_at(si))

@@ -19,11 +19,9 @@ library returns comes from that system:
   P = 1, Z from e_i0 / ups_i0 (i0 the zero root) and H, with the roots of
   psi - c, from e_i / ups_i (i the root Phi(c)).  It gives the tables of
   `build_scale_table` and the jump pricer's H for l > 0.
-* The march convolves each kernel exponential exactly against a
-  piecewise-linear interpolant of the running solution (product
-  integration), an explicit O(n) forward march per table, second order in
-  the step.  It is the tests' reference for the state system (acceptance
-  criterion 4); no library path calls it.
+* The tests keep an independent reference for the state system in
+  tests/reference_scale.py: the product-integration march of the renewal
+  equations, which acceptance criterion 4 compares W and Z against.
 """
 
 from __future__ import annotations
@@ -35,30 +33,16 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .discount import DiscountFn, LogDiscount
+from .discount import DiscountFn, check_flat_below_one
 from .levy import LevyModel, RootDecomposition, psi_roots
 
 __all__ = [
     "LogGrid",
     "ScaleTable",
-    "GridTooCoarseError",
-    "classical_w",
-    "classical_z",
-    "renewal_solve_w",
-    "renewal_solve_z",
     "forward_state",
-    "ode_solve_crash",
     "RecessiveBasis",
     "build_scale_table",
 ]
-
-
-class GridTooCoarseError(ValueError):
-    """March would be singular or under-resolved at the current spacing."""
-
-    def __init__(self, msg: str, suggested_n: int):
-        super().__init__(f"{msg}; retry with n >= {suggested_n}")
-        self.suggested_n = suggested_n
 
 
 @dataclass(frozen=True)
@@ -78,150 +62,6 @@ class LogGrid:
 
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.x_max, self.n)
-
-
-def classical_w(decomp: RootDecomposition, x):
-    """Classical scale function W^{(q)}(x) = sum_i ups_i e^{gamma_i x}, x >= 0."""
-    x = np.asarray(x, dtype=float)
-    g = np.asarray(decomp.gammas, dtype=float)
-    u = np.asarray(decomp.upsilons, dtype=float)
-    with np.errstate(under="ignore", over="ignore"):
-        out = np.exp(np.multiply.outer(x, g)) @ u
-    return out if x.ndim else float(out)
-
-
-def classical_z(decomp: RootDecomposition, x):
-    """Classical Z^{(q)}(x) = 1 + q * int_0^x W^{(q)}(y) dy for q = decomp.q."""
-    x = np.asarray(x, dtype=float)
-    q = decomp.q
-    if q == 0.0:
-        return np.ones_like(x) if x.ndim else 1.0
-    g = np.asarray(decomp.gammas, dtype=float)
-    u = np.asarray(decomp.upsilons, dtype=float)
-    gsafe = np.where(np.abs(g) > 1e-14, g, 1.0)
-    with np.errstate(under="ignore"):
-        expm = np.exp(np.multiply.outer(x, g)) - 1.0
-        terms = np.where(np.abs(g) > 1e-14, expm / gsafe,
-                         np.multiply.outer(x, np.ones_like(g)))
-    out = 1.0 + q * (terms @ u)
-    return out if x.ndim else float(out)
-
-
-def _exp_weights(gh: np.ndarray):
-    """Product-integration weights (per unit h) for kernel e^{gamma(h-tau)}.
-
-    int_0^h e^{gamma(h-tau)} f(tau) dtau = h*(alpha*f(0) + beta*f(h)) for
-    linear f, with gh = gamma*h.
-    """
-    gh = np.asarray(gh, dtype=complex)
-    alpha = np.empty_like(gh)
-    beta = np.empty_like(gh)
-    small = np.abs(gh) < 1e-3
-    gs = gh[small]
-    alpha[small] = 0.5 + gs / 3.0 + gs ** 2 / 8.0 + gs ** 3 / 30.0 + gs ** 4 / 144.0
-    beta[small] = 0.5 + gs / 6.0 + gs ** 2 / 24.0 + gs ** 3 / 120.0 + gs ** 4 / 720.0
-    gl = gh[~small]
-    egl = np.exp(gl)
-    alpha[~small] = (egl * (gl - 1.0) + 1.0) / (gl * gl)
-    beta[~small] = (egl - 1.0) / gl - alpha[~small]
-    return alpha, beta
-
-
-def _march_kernel(egh, aw, bw, ups, inhom, q, vals, ls):
-    """Forward product-integration march; writes scaled values and log scales.
-
-    Returns 0 on success, else the 1-based node index where the implicit
-    diagonal weight made the march singular.
-    """
-    m = egh.shape[0]
-    n = inhom.shape[0]
-    J = np.zeros(m, dtype=np.complex128)
-    sum_ub = 0.0
-    for i in range(m):
-        sum_ub += (ups[i] * bw[i]).real
-    f_prev = q[0] * inhom[0]
-    vals[0] = inhom[0]
-    ls[0] = 0.0
-    log_scale = 0.0
-    for k in range(1, n):
-        lead = 0.0
-        for i in range(m):
-            lead += (ups[i] * (egh[i] * J[i] + aw[i] * f_prev)).real
-        den = 1.0 - sum_ub * q[k]
-        if den <= 0.05:
-            return k
-        if -690.0 < log_scale < 690.0:
-            u_k = (inhom[k] * math.exp(-log_scale) + lead) / den
-        elif log_scale >= 690.0:
-            u_k = lead / den
-        else:
-            # inhomogeneity dwarfs the state; resync the scale to it
-            return -k
-        f_k = q[k] * u_k
-        for i in range(m):
-            J[i] = egh[i] * J[i] + aw[i] * f_prev + bw[i] * f_k
-        f_prev = f_k
-        mag = abs(u_k)
-        if mag > 1e250 or (mag != 0.0 and mag < 1e-250):
-            fac = math.log(mag)
-            sc = math.exp(-fac)
-            for i in range(m):
-                J[i] *= sc
-            f_prev *= sc
-            u_k *= sc
-            log_scale += fac
-        vals[k] = u_k
-        ls[k] = log_scale
-    return 0
-
-
-def _march(gammas, upsilons, h: float, inhom: np.ndarray, q: np.ndarray):
-    """Run the Volterra march; returns (scaled values, log scales)."""
-    g = np.asarray(gammas, dtype=complex)
-    ups = np.asarray(upsilons, dtype=complex)
-    gh = g * h
-    n = len(q)
-    if not (np.all(np.isfinite(inhom)) and np.all(np.isfinite(q))):
-        raise OverflowError("non-finite inhomogeneity or rate values in the march")
-    if np.any(np.real(gh) > 690.0):
-        raise GridTooCoarseError("kernel exponential overflows a single step", 2 * n)
-    aw, bw = _exp_weights(gh)
-    vals = np.empty(n)
-    ls = np.empty(n)
-    code = _march_kernel(np.exp(gh), aw * h, bw * h, ups,
-                         np.ascontiguousarray(inhom, dtype=np.float64),
-                         np.ascontiguousarray(q, dtype=np.float64), vals, ls)
-    if code > 0:
-        weight = abs(float(np.sum(ups * bw * h).real) * q[code])
-        raise GridTooCoarseError(
-            f"implicit diagonal weight {weight:.3f} at node {code} makes the march singular",
-            int(math.ceil(n * max(2.0, 2.2 * weight))))
-    if code < 0:
-        raise OverflowError("march state decayed below the inhomogeneity scale")
-    return vals, ls
-
-
-def _march_plain(gammas, upsilons, h: float, inhom: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """March returning unscaled values; rejects ranges that overflow double."""
-    vals, ls = _march(gammas, upsilons, h, inhom, q)
-    if np.any(np.abs(ls) > 700.0):
-        raise OverflowError("scale table leaves double range; reduce x_max")
-    with np.errstate(over="ignore"):
-        return vals * np.exp(ls)
-
-
-def renewal_solve_w(decomp: RootDecomposition, xi: LogDiscount, grid: LogGrid) -> np.ndarray:
-    """W-type table: u = W + int_0^x W(x-y) xi(y) u(y) dy on the grid."""
-    xs = grid.nodes()
-    return _march_plain(decomp.gammas, decomp.upsilons, grid.h,
-                        classical_w(decomp, xs), np.asarray(xi(xs), dtype=float))
-
-
-def renewal_solve_z(decomp: RootDecomposition, xi: LogDiscount, grid: LogGrid) -> np.ndarray:
-    """Z-type table: u = 1 + int_0^x W(x-y) xi(y) u(y) dy on the grid."""
-    xs = grid.nodes()
-    return _march_plain(decomp.gammas, decomp.upsilons, grid.h,
-                        np.ones(grid.n), np.asarray(xi(xs), dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -257,19 +97,6 @@ def forward_state(dec: RootDecomposition, rate, x_end: float,
     if not sol.success:
         raise RuntimeError(f"ODE integration failed: {sol.message}")
     return sol.sol
-
-
-def ode_solve_crash(model: LevyModel, xi: LogDiscount, grid: LogGrid,
-                    which: str = "W") -> np.ndarray:
-    """W- or Z-type table (q = 0) by forward integration of the renewal state
-    system; serves every model and rate kind."""
-    if which not in ("W", "Z"):
-        raise ValueError("which must be 'W' or 'Z'")
-    dec = psi_roots(model)
-    i0 = None if which == "W" else int(np.argmin(np.abs(dec.gammas)))
-    sol = forward_state(dec, lambda x: float(xi(x)), grid.x_max, i0)
-    return np.asarray(dec.upsilons) @ sol(grid.nodes())
-
 
 
 # Integration constants of RecessiveBasis, checked by the self-convergence tests
@@ -435,7 +262,7 @@ class RecessiveBasis:
 
 @dataclass(frozen=True)
 class ScaleTable:
-    """Discretised scale functions for one rate function xi on one grid."""
+    """Discretised scale functions of one rate omega on one grid above s = 1."""
 
     grid: LogGrid
     w: np.ndarray
@@ -445,28 +272,31 @@ class ScaleTable:
     flat_level: Optional[float] = None
 
 
-def build_scale_table(model: LevyModel, xi: LogDiscount, grid: LogGrid, *,
-                      want_h: bool = False, flat_level: Optional[float] = None) -> ScaleTable:
-    """W/Z tables, the tail constant c = lim Z/W and, optionally, the H table.
+def build_scale_table(model: LevyModel, omega: DiscountFn, grid: LogGrid) -> ScaleTable:
+    """W/Z tables at x = log s on the grid, the tail constant c = lim Z/W and,
+    where omega is certified flat on (0, 1], the H table.
 
-    W, Z and H are forward solutions of the renewal state system; H uses the
-    roots of psi - c for the flat level c of xi at and below x = 0, which the
-    caller certifies.  c comes from the recessive basis read at x = 0: the
-    basis starts _CORE_MARGIN above the top of its range, and the error of
-    that start decays over the whole span down to x = 0, so the range is the
-    table's [0, x_max] but never shorter than [0, _CORE_MARGIN].
+    W, Z and H are forward solutions of the renewal state system from s = 1;
+    H uses the roots of psi - c for the flat level c of omega on (0, 1]
+    (check_flat_below_one).  c comes from the recessive basis read at x = 0:
+    the basis starts _CORE_MARGIN above the top of its range, and the error
+    of that start decays over the whole span down to x = 0, so the range is
+    the table's [0, x_max] but never shorter than [0, _CORE_MARGIN].
     """
-    if want_h and flat_level is None:
-        raise ValueError("H table requires the flat-below-one certificate level")
-    w = ode_solve_crash(model, xi, grid, "W")
-    z = ode_solve_crash(model, xi, grid, "Z")
-    u = math.exp(xi.shift)
-    top = u * math.exp(max(grid.x_max, _CORE_MARGIN))
-    c = RecessiveBasis(model, xi.base, u, top).tail_constant(xi.shift)
+    # np.exp, not math.exp: the two may differ in the last ulp
+    rate = lambda x: float(omega(np.exp(x)))
+    xs = grid.nodes()
+    dec = psi_roots(model)
+    ups = np.asarray(dec.upsilons)
+    w = ups @ forward_state(dec, rate, grid.x_max)(xs)
+    z = ups @ forward_state(dec, rate, grid.x_max, int(np.argmin(np.abs(dec.gammas))))(xs)
+    top = math.exp(max(grid.x_max, _CORE_MARGIN))
+    c = RecessiveBasis(model, omega, 1.0, top).tail_constant(0.0)
+    flat = check_flat_below_one(omega)
     hh = None
-    if want_h:
-        dec = psi_roots(model, flat_level)
-        sol = forward_state(dec, lambda x: float(xi(x)) - flat_level, grid.x_max,
+    if flat is not None:
+        dec = psi_roots(model, flat)
+        sol = forward_state(dec, lambda x: rate(x) - flat, grid.x_max,
                             int(np.argmax(dec.gammas)))
-        hh = np.asarray(dec.upsilons) @ sol(grid.nodes())
-    return ScaleTable(grid=grid, w=w, z=z, c_zw=c, hh=hh, flat_level=flat_level)
+        hh = np.asarray(dec.upsilons) @ sol(xs)
+    return ScaleTable(grid=grid, w=w, z=z, c_zw=c, hh=hh, flat_level=flat)

@@ -16,7 +16,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import hyperu
 
-from omega_pricer import Constant, LevyModel, Linear, LogGrid, Rational, shift_tilt
+from omega_pricer import Constant, LevyModel, Linear, LogGrid, Rational
 from omega_pricer.levy import psi_roots
 from omega_pricer.mc import bermudan_dp, bermudan_value_at, stopped_value, symmetry_check
 from omega_pricer.pricer import (
@@ -26,11 +26,8 @@ from omega_pricer.pricer import (
     hjb_residual,
     optimize_boundaries,
 )
-from omega_pricer.scale import (
-    ode_solve_crash,
-    renewal_solve_w,
-    renewal_solve_z,
-)
+from omega_pricer.scale import build_scale_table
+from reference_scale import renewal_solve_w, renewal_solve_z
 
 K = 20.0
 
@@ -145,15 +142,16 @@ def test_criterion_3_classical_collapse(classical_result):
 
 
 def test_criterion_4_solver_cross_validation(crash_model, crash_model_sigma):
-    """Renewal and ODE scale routes agree to < 1e-6 sup-relative on [0,3]."""
+    """The renewal state system (build_scale_table) and the reference march
+    of the renewal equations agree to < 1e-6 sup-relative on [0,3]."""
     grid = LogGrid(3.0, 6001)
-    xi = shift_tilt(Linear(0.1), 1.0)
+    rate = lambda x: Linear(0.1)(np.exp(x))
     worst = 0.0
     for model in (crash_model, crash_model_sigma):
         dec = psi_roots(model)
-        for which, renewal in (("W", renewal_solve_w), ("Z", renewal_solve_z)):
-            a = ode_solve_crash(model, xi, grid, which)
-            b = renewal(dec, xi, grid)
+        tab = build_scale_table(model, Linear(0.1), grid)
+        for a, renewal in ((tab.w, renewal_solve_w), (tab.z, renewal_solve_z)):
+            b = renewal(dec, rate, grid)
             scale = np.maximum(np.abs(a), 1e-9 * np.max(np.abs(a)))
             worst = max(worst, float(np.max(np.abs(a - b) / scale)))
     assert _report(4, worst < 1e-6,

@@ -139,14 +139,16 @@ def test_two_sided_price_writes_l_condition_and_hjb(tmp_path):
     assert float(summary["hjb_stopping_violation"]) <= 1e-12
 
 
-@pytest.mark.parametrize("sigma", [1e-5, 1e-8])
+@pytest.mark.parametrize("sigma", [1e-5, 1e-8, 1e-150, 5e-324])
 def test_unresolvable_small_sigma_is_numerics_error(tmp_path, sigma):
-    # the fast frozen exponent -2 zeta / sigma^2 is beyond double steps in y
+    # the fast frozen exponent -2 zeta / sigma^2 is beyond double steps in y;
+    # far below that the fast root of psi is beyond double range itself
     cfg = load_config(overrides={
         "model": {"sigma": sigma, "lam": 3.0, "phi": 1.5, "r": 0.05},
         "discount": {"kind": "linear", "c": 0.1}})
     assert run(cfg, tmp_path, quiet=True) == EXIT_NUMERICS
-    assert "fast frozen exponent" in _read_summary(tmp_path / "summary.txt")["error"]
+    cause = "fast frozen exponent" if sigma > 1e-10 else "psi_roots cannot resolve the fast root"
+    assert cause in _read_summary(tmp_path / "summary.txt")["error"]
 
 
 def test_unsupported_combination_is_config_error(tmp_path):

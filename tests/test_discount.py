@@ -10,8 +10,8 @@ from omega_pricer import (
     Step,
     Tabulated,
     check_flat_below_one,
-    shift_tilt,
 )
+from omega_pricer.discount import DiscountFn
 
 
 def test_eval_constant():
@@ -58,27 +58,6 @@ def test_eval_respects_lower_bound():
         assert np.all(np.asarray(fn(s)) >= fn.lower_bound - 1e-15)
 
 
-def test_shift_tilt_identity_matches_eval():
-    fn = Rational(0.001, 0.01)
-    xi = shift_tilt(fn, 1.0)
-    xs = np.linspace(-3.0, 3.0, 41)
-    assert np.max(np.abs(xi(xs) - fn(np.exp(xs)))) < 1e-15
-
-
-def test_shift_tilt_linear_at_zero():
-    fn = Linear(0.1)
-    for u in (0.5, 1.0, 4.56):
-        xi = shift_tilt(fn, u)
-        assert xi(0.0) == pytest.approx(0.1 * u, rel=1e-14)
-
-
-def test_shift_tilt_validation():
-    with pytest.raises(ValueError):
-        shift_tilt(Constant(0.05), -1.0)
-    with pytest.raises(ValueError):
-        shift_tilt(Constant(0.05), 0.0)
-
-
 def test_flat_below_one_constant():
     assert check_flat_below_one(Constant(0.05)) == 0.05
 
@@ -95,6 +74,30 @@ def test_flat_below_one_other_kinds():
     assert check_flat_below_one(Rational(0.001, 0.01)) is None
     assert check_flat_below_one(LogArea(K=2.0)) == 0.0
     assert check_flat_below_one(LogArea(K=0.5)) is None
+
+
+class _Bump(DiscountFn):
+    """omega = 0.05 + 5 on (0.5, 0.52): not flat below one, and narrower than
+    the spacing of a 257-point log grid on [1e-8, 1]."""
+
+    kind = "bump"
+
+    def __call__(self, s):
+        s = np.asarray(s, dtype=float)
+        out = 0.05 + 5.0 * ((s > 0.5) & (s < 0.52))
+        return out if s.ndim else float(out)
+
+    @property
+    def lower_bound(self):
+        return 0.05
+
+
+def test_flat_below_one_unknown_kind_is_none(crash_model):
+    from omega_pricer import LogGrid, build_scale_table
+
+    fn = _Bump()
+    assert check_flat_below_one(fn) is None
+    assert build_scale_table(crash_model, fn, LogGrid(1.0, 33)).hh is None
 
 
 def test_nonnegativity_gate():

@@ -2,12 +2,8 @@ import numpy as np
 import pytest
 
 from omega_pricer import Constant, LevyModel, martingale_drift
-from omega_pricer.levy import (
-    laplace_exponent,
-    laplace_exponent_deriv,
-    phi_right_inverse,
-    psi_roots,
-)
+from omega_pricer.levy import laplace_exponent, laplace_exponent_deriv, psi_roots
+from reference_scale import phi_right_inverse
 
 
 def test_laplace_exponent_zero_is_zero(crash_model, bs_model, crash_model_sigma):

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 import omega_pricer.pricer as pricer_module
-from omega_pricer import (Constant, LevyModel, Linear, LogArea, Rational, Step, Tabulated,
-                          shift_tilt)
-from omega_pricer.levy import phi_right_inverse, psi_roots
+from omega_pricer import Constant, LevyModel, Linear, LogArea, Rational, Step, Tabulated
+from omega_pricer.levy import psi_roots
 from omega_pricer.pricer import (
     Boundaries,
     PricingProblem,
@@ -22,7 +21,7 @@ from omega_pricer.pricer import (
     value_jump,
     _JumpValuation,
 )
-from omega_pricer.scale import classical_w, classical_z
+from reference_scale import classical_w, classical_z, phi_right_inverse
 
 
 @pytest.fixture(scope="module")
@@ -331,18 +330,22 @@ def test_sigma_pos_results_pinned(crash_model_sigma, contract):
     assert res.value_fn(s) == pytest.approx(np.array(list(v_ref.values())), rel=1e-8)
 
 
-@pytest.mark.parametrize("sigma", [3e-5, 1e-5, 1e-8])
+@pytest.mark.parametrize("sigma", [3e-5, 1e-5, 1e-8, 1e-150, 5e-324])
 def test_small_sigma_prices_or_raises_typed(sigma):
     """sigma = 3e-5 prices (u* next to the sigma = 0 value 13.8223476); below
     it the fast frozen exponent (about -2 zeta / sigma^2) needs steps in y
-    that doubles do not resolve, and the basis says so in a RuntimeError."""
+    that doubles do not resolve, and the basis says so in a RuntimeError.
+    Further down psi_roots itself cannot hold the fast root or its weight
+    (sigma^2 = 1e-300 overflows (phi + g)^2; 5e-324^2 underflows to 0), and
+    says so before the basis is built."""
     model = LevyModel.calibrated(r=0.05, sigma=sigma, lam=3.0, phi=1.5)
     pb = PricingProblem(model, Linear(0.1), 20.0)
     if sigma == 3e-5:
         assert optimize_boundaries(pb, n_curve=64).u_star == pytest.approx(
             13.822348327230745, rel=1e-10)
     else:
-        with pytest.raises(RuntimeError, match="fast frozen exponent"):
+        cause = "fast frozen exponent" if sigma > 1e-10 else "cannot resolve the fast root"
+        with pytest.raises(RuntimeError, match=cause):
             optimize_boundaries(pb, n_curve=64)
 
 

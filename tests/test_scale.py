@@ -4,19 +4,23 @@ import weakref
 import numpy as np
 import pytest
 
-from omega_pricer import Constant, LevyModel, Linear, LogGrid, Step, shift_tilt
-from omega_pricer.levy import phi_right_inverse, psi_roots, laplace_exponent
+from omega_pricer import Constant, LevyModel, Linear, LogGrid, Step
+from omega_pricer.levy import psi_roots, laplace_exponent
 from omega_pricer.pricer import PricingProblem, _JumpValuation, optimize_boundaries
-from omega_pricer.scale import (
+from omega_pricer.scale import RecessiveBasis, build_scale_table
+from reference_scale import (
     GridTooCoarseError,
-    RecessiveBasis,
-    build_scale_table,
     classical_w,
     classical_z,
-    ode_solve_crash,
+    phi_right_inverse,
     renewal_solve_w,
     renewal_solve_z,
 )
+
+
+def _rate(fn, u=1.0):
+    """x -> omega(u e^x), the rate of the reference march at level u."""
+    return lambda x: fn(u * np.exp(x))
 
 
 def test_classical_w_at_zero(crash_model, crash_model_sigma):
@@ -41,7 +45,7 @@ def test_classical_w_laplace_transform(crash_model_sigma):
 def test_renewal_zero_rate_collapses(crash_model):
     dec = psi_roots(crash_model)
     grid = LogGrid(3.0, 801)
-    xi = shift_tilt(Constant(0.0), 1.0)
+    xi = _rate(Constant(0.0))
     w = renewal_solve_w(dec, xi, grid)
     z = renewal_solve_z(dec, xi, grid)
     assert np.max(np.abs(w - classical_w(dec, grid.nodes()))) < 1e-12
@@ -56,7 +60,7 @@ def test_renewal_constant_rate_is_classical(fixture, request):
     dec0 = psi_roots(model)
     decq = psi_roots(model, q)
     grid = LogGrid(3.0, 4001)
-    xi = shift_tilt(Constant(q), 1.0)
+    xi = _rate(Constant(q))
     w = renewal_solve_w(dec0, xi, grid)
     z = renewal_solve_z(dec0, xi, grid)
     xs = grid.nodes()
@@ -71,7 +75,9 @@ def test_renewal_constant_rate_is_classical(fixture, request):
 
 
 def _h_table(model, fn, c, grid):
-    return build_scale_table(model, shift_tilt(fn, 1.0), grid, want_h=True, flat_level=c).hh
+    tab = build_scale_table(model, fn, grid)
+    assert tab.flat_level == c
+    return tab.hh
 
 
 def test_renewal_h_constant_rate(crash_model):
@@ -102,8 +108,7 @@ def test_renewal_h_step_rate(crash_model):
 
 def test_ratio_limit_constant_rate(crash_model):
     q = 0.05
-    xi = shift_tilt(Constant(q), 1.0)
-    tab = build_scale_table(crash_model, xi, LogGrid(3.0, 1001))
+    tab = build_scale_table(crash_model, Constant(q), LogGrid(3.0, 1001))
     assert tab.c_zw == pytest.approx(q / phi_right_inverse(crash_model, q), rel=1e-7)
 
 
@@ -114,10 +119,13 @@ def test_ratio_limit_zero_rate(crash_model):
 
 def test_passage_factor_monotone_tail(crash_model):
     # with the true c, x -> z(x) - c w(x) is non-increasing on the tail
-    xi = shift_tilt(Linear(0.1), 4.56)
-    tab = build_scale_table(crash_model, xi, LogGrid(3.0, 1201))
-    xs = tab.grid.nodes()
-    f = tab.z - tab.c_zw * tab.w
+    u = 4.56
+    grid = LogGrid(3.0, 1201)
+    dec = psi_roots(crash_model)
+    xi = _rate(Linear(0.1), u)
+    c = RecessiveBasis(crash_model, Linear(0.1), u, u * np.exp(3.0)).tail_constant(np.log(u))
+    xs = grid.nodes()
+    f = renewal_solve_z(dec, xi, grid) - c * renewal_solve_w(dec, xi, grid)
     tail = xs > 0.3
     assert np.all(np.diff(f[tail]) <= 1e-12)
 
@@ -127,10 +135,9 @@ def test_ode_vs_renewal_linear_rate(fixture, request):
     model = request.getfixturevalue(fixture)
     dec = psi_roots(model)
     grid = LogGrid(3.0, 6001)
-    xi = shift_tilt(Linear(0.1), 1.0)
-    for which, renewal in (("W", renewal_solve_w), ("Z", renewal_solve_z)):
-        a = ode_solve_crash(model, xi, grid, which)
-        b = renewal(dec, xi, grid)
+    tab = build_scale_table(model, Linear(0.1), grid)
+    for a, renewal in ((tab.w, renewal_solve_w), (tab.z, renewal_solve_z)):
+        b = renewal(dec, _rate(Linear(0.1)), grid)
         scale = np.maximum(np.abs(a), 1e-9 * np.max(np.abs(a)))
         assert np.max(np.abs(a - b) / scale) < 1e-6
 
@@ -138,33 +145,31 @@ def test_ode_vs_renewal_linear_rate(fixture, request):
 def test_ode_crash_initial_data(crash_model):
     # W(0) = 1/mu, W'(0) = (C + lam)/mu^2 for xi(x) = C e^x
     C = 0.1
-    xi = shift_tilt(Linear(C), 1.0)
     grid = LogGrid(0.02, 21)
-    w = ode_solve_crash(crash_model, xi, grid, "W")
+    tab = build_scale_table(crash_model, Linear(C), grid)
+    w = tab.w
     mu, lam = crash_model.mu, crash_model.lam
     assert w[0] == pytest.approx(1.0 / mu, rel=1e-12)
     slope = (w[1] - w[0]) / grid.h
     assert slope == pytest.approx((C + lam) / mu ** 2, rel=1e-2)
-    z = ode_solve_crash(crash_model, xi, grid, "Z")
+    z = tab.z
     assert z[0] == 1.0
     assert (z[1] - z[0]) / grid.h == pytest.approx(C / mu, rel=1e-2)
 
 
 def test_ode_zero_rate_z_is_one(crash_model, crash_model_sigma):
     grid = LogGrid(2.0, 101)
-    xi = shift_tilt(Constant(0.0), 1.0)
-    z0 = ode_solve_crash(crash_model, xi, grid, "Z")
+    z0 = build_scale_table(crash_model, Constant(0.0), grid).z
     assert np.max(np.abs(z0 - 1.0)) < 1e-10
-    zs = ode_solve_crash(crash_model_sigma, xi, grid, "Z")
-    assert np.max(np.abs(zs - 1.0)) < 1e-10
-    ws = ode_solve_crash(crash_model_sigma, xi, grid, "W")
-    assert ws[0] == pytest.approx(0.0, abs=1e-13)
+    tab = build_scale_table(crash_model_sigma, Constant(0.0), grid)
+    assert np.max(np.abs(tab.z - 1.0)) < 1e-10
+    assert tab.w[0] == pytest.approx(0.0, abs=1e-13)
 
 
 def test_grid_refinement_second_order(crash_model_sigma):
     """Richardson ratio of the renewal march is ~4 under grid halving."""
     dec = psi_roots(crash_model_sigma)
-    xi = shift_tilt(Linear(0.1), 1.0)
+    xi = _rate(Linear(0.1))
     x_probe = 2.0
     vals = []
     for n in (251, 501, 1001):
@@ -176,15 +181,16 @@ def test_grid_refinement_second_order(crash_model_sigma):
 
 
 def test_positivity(crash_model):
-    xi = shift_tilt(Linear(0.1), 2.0)
-    tab = build_scale_table(crash_model, xi, LogGrid(3.0, 801))
-    assert np.all(tab.w > 0.0)
-    assert np.all(tab.z > 0.0)
+    dec = psi_roots(crash_model)
+    xi = _rate(Linear(0.1), 2.0)
+    grid = LogGrid(3.0, 801)
+    assert np.all(renewal_solve_w(dec, xi, grid) > 0.0)
+    assert np.all(renewal_solve_z(dec, xi, grid) > 0.0)
 
 
 def test_march_rejects_coarse_grid(crash_model):
     # enormous rate at coarse spacing makes the implicit weight exceed one
-    xi = shift_tilt(Linear(5e4), 20.0)
+    xi = _rate(Linear(5e4), 20.0)
     dec = psi_roots(crash_model)
     with pytest.raises((GridTooCoarseError, OverflowError)) as err:
         renewal_solve_w(dec, xi, LogGrid(3.0, 31))
@@ -243,7 +249,7 @@ def test_recessive_tail_constant_vs_march(crash_model_sigma, u):
     fn = Linear(0.1)
     core = RecessiveBasis(crash_model_sigma, fn, 0.4, 44.0)
     dec = psi_roots(crash_model_sigma)
-    xi = shift_tilt(fn, u)
+    xi = _rate(fn, u)
     r1, r2 = (renewal_solve_z(dec, xi, LogGrid(5.0, n))[-1]
               / renewal_solve_w(dec, xi, LogGrid(5.0, n))[-1] for n in (2001, 4001))
     assert core.tail_constant(np.log(u)) == pytest.approx(r2 + (r2 - r1) / 3.0, abs=2e-6)
@@ -347,8 +353,3 @@ def test_recessive_basis_rejects_out_of_range(crash_model):
     with pytest.raises(ValueError):
         core.evaluate(np.log(2.0), [1.0], np.log(0.5))
 
-
-def test_build_scale_table_with_h_requires_level(crash_model):
-    xi = shift_tilt(Constant(0.05), 1.0)
-    with pytest.raises(ValueError):
-        build_scale_table(crash_model, xi, LogGrid(1.0, 101), want_h=True)
