@@ -17,7 +17,8 @@ import numpy as np
 
 from . import discount as _discount
 from .levy import LevyModel
-from .mc import bermudan_dp, bermudan_value_at, stopped_value, symmetry_check
+from .mc import (bermudan_dp, bermudan_value_at, default_t_max, stopped_value,
+                 symmetry_check)
 from .pricer import Boundaries, PricingProblem, hjb_residual, optimize_boundaries
 from .scale import LogGrid, build_scale_table
 
@@ -93,7 +94,7 @@ PRESETS = {
         "discount": {"kind": "constant", "r": 0.03},
         "contract": {"payoff": "call", "strike": 20.0},
         "task": {"task": "symmetry"},
-        "numerics": {"n_paths": 20_000, "dt": 2e-3, "t_max": 40.0,
+        "numerics": {"n_paths": 20_000, "dt": 2e-3,
                      "call_spot": 20.0, "call_l": 30.0, "call_u": 60.0},
     },
 }
@@ -290,7 +291,8 @@ def run(cfg: dict, out_dir: Path, quiet: bool = False) -> int:
             K = problem.strike
             b = Boundaries(num["call_l"] if num["call_l"] is not None else 1.25 * max(s0, K),
                            num["call_u"] if num["call_u"] is not None else 2.5 * max(s0, K))
-            t_max = num["t_max"] if num["t_max"] is not None else 40.0
+            t_max = num["t_max"] if num["t_max"] is not None \
+                else default_t_max(omega, K)
             lhs, rhs = symmetry_check(problem, s0, b, num["n_paths"],
                                       num["dt"], t_max, seed=num["seed"])
             comb = (lhs.stderr ** 2 + rhs.stderr ** 2) ** 0.5

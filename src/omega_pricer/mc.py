@@ -10,19 +10,32 @@ grows by (A(x_new) - A(x)) / zeta along each step, with A the closed-form
 antiderivative of omega in log price (DiscountFn.log_antiderivative), or by
 omega dt when zeta = 0; dt is not read.
 
-For sigma > 0 two things are discretised.  The running discount integral
-int omega(S) dw is a trapezoid on the step grid.  Barrier crossing is
-detected by endpoint tests, whose bias is quantified through step-refinement
-rather than corrected by bridge sampling.  Steps stretch adaptively far from
-the barrier and shrink back to the base step dt nearby, which leaves the
-detection bias at the base-step scale while keeping long horizons affordable.
+For sigma > 0 and a constant rate nothing is discretised either.  Between
+jumps the log price is a Brownian motion with drift, so a path takes one
+Gaussian step to its next event (a jump or the horizon) and tests the one
+barrier it can reach first: u from above, l from below.  It stops if the
+step ends past that barrier, or else with the Brownian-bridge crossing
+probability exp(-2 a c / dt_i), where a and c are the distances of the
+step's start and end from the barrier in units of sigma.  A stopped path's
+crossing time is s dt_i / (dt_i + s) with s ~ Wald(a dt_i / c, a^2) (the
+time change of the bridge's first passage; by reflection the same law
+whether the end lies past the barrier or not); it stops at the barrier's
+price and its discount grows by the rate times that time.  dt is not read.
+
+For sigma > 0 and any other rate two things are discretised.  The running
+discount integral int omega(S) dw is a trapezoid on the step grid.  Barrier
+crossing is detected by endpoint tests, whose bias is quantified through
+step-refinement rather than corrected by bridge sampling.  Steps stretch
+adaptively far from the barrier and shrink back to the base step dt nearby,
+which leaves the detection bias at the base-step scale while keeping long
+horizons affordable.
 
 The vectorised engine keeps the live paths in compact arrays in path order
 and filters them only on a step where some path stops or reaches the
 horizon.  It carries a level at each path's current point (A where a
-sigma = 0 path drifts, omega otherwise), so a step evaluates it once, at its
-new end, and again only where a jump moved the path.  Each estimate reports
-the number of path-steps it took.
+sigma = 0 path drifts, omega where a sigma > 0 path steps on a grid), so a
+step evaluates it once, at its new end, and again only where a jump moved
+the path.  Each estimate reports the number of path-steps it took.
 """
 
 from __future__ import annotations
@@ -77,12 +90,20 @@ def default_t_max(omega: DiscountFn, strike: float) -> float:
 def _engine(zeta: float, sigma: float, lam: float, phi: float, jumps_up: bool,
             omega_fn: Callable, omega_int: Callable, payoff_fn: Callable,
             l: float, u: float, s0: float, n_paths: int, dt: float, t_max: float,
-            seed: int, payoff_cap: float = np.inf) -> McEstimate:
+            seed: int, payoff_cap: float = np.inf,
+            flat_rate: Optional[float] = None) -> McEstimate:
     """Vectorised first-entry estimator of E[e^{-int omega} payoff(S_tau)].
 
     omega_fn is the rate at prices, omega_int its antiderivative in log price
-    (omega_int'(v) = omega_fn(e^v)); only sigma = 0 with a drift reads
-    omega_int, and only sigma > 0 reads dt.
+    (omega_int'(v) = omega_fn(e^v)) and flat_rate the rate's value when it is
+    constant, else None.  sigma = 0 with a drift reads omega_int; sigma > 0
+    with a flat_rate reads neither callable; dt is read only by sigma > 0
+    without a flat_rate.
+
+    rng_j draws the jump times and sizes.  rng_n draws, on each sigma > 0
+    step, one standard normal per live path; with a flat_rate it then draws
+    one uniform per path whose step ends short of its barrier and one Wald
+    variate per path that stops on the step, each in path order.
     """
     has_l = l > 0.0
     log_l = math.log(l) if has_l else -math.inf
@@ -107,7 +128,10 @@ def _engine(zeta: float, sigma: float, lam: float, phi: float, jumps_up: bool,
     # antiderivative where the discount integrates in closed form along a drift
     level = lambda v: np.asarray(omega_fn(np.exp(v)), dtype=float)
     target = math.inf  # sigma = 0: the barrier the drift runs towards
-    if sigma > 0.0:
+    bridge = sigma > 0.0 and flat_rate is not None
+    if bridge:
+        level = None  # the discount grows by flat_rate times the time
+    elif sigma > 0.0:
         rate_scale = abs(zeta) + sigma + (lam / phi if lam > 0.0 else 0.0)
         m_disc = max(1.0, 0.02 / (dt * max(rate_scale, 1e-6)))
         m_cap = max(1.0, 0.1 / dt)
@@ -119,7 +143,7 @@ def _engine(zeta: float, sigma: float, lam: float, phi: float, jumps_up: bool,
     path_steps = 0
 
     with np.errstate(over="ignore"):
-        w = level(x)
+        w = None if bridge else level(x)
         while x.size:
             path_steps += x.size
             if sigma == 0.0:
@@ -150,6 +174,57 @@ def _engine(zeta: float, sigma: float, lam: float, phi: float, jumps_up: bool,
                 d_new += d
                 t_new = t + dt_i
                 stopping = (x_new >= log_l) & (x_new <= log_u)
+            elif bridge:
+                # one Gaussian step to the next event, a jump or t_max, tested
+                # against the barrier the path reaches first: u from above, l
+                # from below; a and c are the distances of the step's start
+                # and end from it, c <= 0 where the end lies past it
+                dt_i = t_max - t
+                at_horizon = np.ones(x.size, dtype=bool)
+                if lam > 0.0:
+                    jumping = np.flatnonzero(t_jump <= t + dt_i)
+                    dt_i[jumping] = t_jump[jumping] - t[jumping]
+                    at_horizon[jumping] = False
+                x_new = rng_n.standard_normal(x.size)
+                x_new *= np.sqrt(dt_i)
+                x_new *= sigma
+                x_new += x
+                x_new += zeta * dt_i
+                above = x > log_u
+                below = ~above
+                a = x - log_u
+                np.subtract(log_l, x, out=a, where=below)
+                c = x_new - log_u
+                np.subtract(log_l, x_new, out=c, where=below)
+                stopping = c <= 0.0
+                # short of the barrier: crossed with the bridge's probability;
+                # the draws work on subsets, and a and c are freed before the
+                # Wald draw, which keeps the step's peak memory low
+                short = ~stopping
+                p = a[short]
+                p *= c[short]
+                p *= -2.0 / (sigma * sigma)
+                p /= dt_i[short]
+                np.exp(p, out=p)
+                stopping[short] = rng_n.random(p.size) < p
+                # crossing time s dt_i / (dt_i + s), s ~ Wald(a dt_i / c, a^2 / sigma^2);
+                # fmin maps the c = 0 limit (nan) to the step's end
+                a_h, c_h, dt_h = a[stopping], c[stopping], dt_i[stopping]
+                del a, c, p, short
+                mean = a_h * dt_h
+                mean /= np.abs(c_h, out=c_h)
+                a_h /= sigma
+                s_h = rng_n.wald(mean, np.square(a_h, out=a_h))
+                np.add(dt_h, s_h, out=mean)
+                s_h *= dt_h
+                s_h /= mean
+                dt_i[stopping] = np.fmin(s_h, dt_h, out=s_h)
+                passed_dn = stopping & above
+                passed_up = stopping & below
+                d_new = dt_i * flat_rate
+                d_new += d
+                t_new = t + dt_i
+                w_new = None
             else:
                 # step stretching, provably clear of the barrier for diffusive
                 # moves: dt * clip((dist / (safety sigma))^2 / dt, 1, m_max);
@@ -199,7 +274,8 @@ def _engine(zeta: float, sigma: float, lam: float, phi: float, jumps_up: bool,
                     landed = (x_new[jj] >= log_l) & (x_new[jj] <= log_u)
                     stopping[jj[landed]] = True
                     moved = jj[~landed]
-                    w_new[moved] = level(x_new[moved])
+                    if w_new is not None:
+                        w_new[moved] = level(x_new[moved])
                 t_jump[jumping] = t_new[jumping] \
                     + rng_j.exponential(1.0 / lam, jumping.size)
             ending = at_horizon | stopping
@@ -210,12 +286,13 @@ def _engine(zeta: float, sigma: float, lam: float, phi: float, jumps_up: bool,
             censored[path[ending & ~stopping]] = True
             # stopping price: the entry point, or the barrier a step passed
             sp = np.exp(x_new[stopping])
-            if has_l and sigma > 0.0:
+            if bridge or (has_l and sigma > 0.0):
                 sp = np.where(passed_dn[stopping], u,
                               np.where(passed_up[stopping], l, sp))
             payoffs[path[stopping]] = np.minimum(payoff_fn(sp), payoff_cap)
             live = ~ending
-            x, t, d, w = x_new[live], t_new[live], d_new[live], w_new[live]
+            x, t, d = x_new[live], t_new[live], d_new[live]
+            w = w_new[live] if w_new is not None else None
             path = path[live]
             if lam > 0.0:
                 t_jump = t_jump[live]
@@ -241,15 +318,18 @@ def stopped_value(model: LevyModel, omega: DiscountFn, strike: float,
                   t_max: Optional[float] = None, seed: int = 0) -> McEstimate:
     """MC estimate of the put value stopped on first entry into [l, u].
 
-    dt is the base step of a sigma > 0 model and is unused at sigma = 0,
-    where every path steps from event to event exactly.
+    dt is the base step of a sigma > 0 model with a non-constant rate.  It
+    is unused at sigma = 0 and for a constant rate, where every path steps
+    from event to event exactly.
     """
     if t_max is None:
         t_max = default_t_max(omega, strike)
     payoff = lambda s: np.maximum(strike - s, 0.0)
+    flat_rate = omega.r if omega.kind == "constant" else None
     return _engine(model.zeta, model.sigma, model.lam, model.phi, False,
                    omega, omega.log_antiderivative, payoff, b.l, b.u, s0,
-                   n_paths, dt, t_max, seed, payoff_cap=strike)
+                   n_paths, dt, t_max, seed, payoff_cap=strike,
+                   flat_rate=flat_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +444,10 @@ def symmetry_check(problem: PricingProblem, s: float, b: Boundaries,
     payoff_call = lambda sv: np.maximum(sv - K, 0.0)
     cap = max(b.u - K, 0.0) if math.isfinite(b.u) else np.inf
     omega_int = problem.omega.log_antiderivative
+    flat_rate = problem.omega.r if problem.omega.kind == "constant" else None
     lhs = _engine(model.zeta, model.sigma, model.lam, model.phi, False,
                   problem.omega, omega_int, payoff_call, b.l, b.u, s, n_paths,
-                  dt, t_max, seed, payoff_cap=cap)
+                  dt, t_max, seed, payoff_cap=cap, flat_rate=flat_rate)
     spec = putcall_transform(problem, s, b)
     payoff_put = lambda sv: np.maximum(spec.strike - sv, 0.0)
     u_eff = spec.u if math.isfinite(spec.u) else 1e12
@@ -376,5 +457,6 @@ def symmetry_check(problem: PricingProblem, s: float, b: Boundaries,
     rhs = _engine(spec.drift, spec.sigma, spec.jump_rate, spec.jump_decay,
                   spec.jumps_up, spec.discount, dual_int, payoff_put, spec.l,
                   u_eff, spec.spot, n_paths, dt, t_max, seed + 1,
-                  payoff_cap=spec.strike)
+                  payoff_cap=spec.strike,
+                  flat_rate=None if flat_rate is None else flat_rate - spec.psi1)
     return lhs, rhs

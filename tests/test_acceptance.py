@@ -18,7 +18,8 @@ from scipy.special import hyperu
 
 from omega_pricer import Constant, LevyModel, Linear, LogGrid, Rational
 from omega_pricer.levy import psi_roots
-from omega_pricer.mc import bermudan_dp, bermudan_value_at, stopped_value, symmetry_check
+from omega_pricer.mc import (bermudan_dp, bermudan_value_at, default_t_max,
+                              stopped_value, symmetry_check)
 from omega_pricer.pricer import (
     Boundaries,
     PricingProblem,
@@ -239,23 +240,28 @@ def test_criterion_8_hjb_residual(bs_rational_result, classical_result, bs_model
 
 
 def test_criterion_9_put_call_symmetry():
-    """Both identity sides within 3 combined stderr at 5 spot/strike pairs;
-    independently optimised dual boundaries satisfy |l_c u* - sK|/(sK) < 1%."""
+    """Both identity sides within 3 combined stderr at 5 spot/strike pairs,
+    neither side unreliable at the default horizon; independently optimised
+    dual boundaries satisfy |l_c u* - sK|/(sK) < 1%."""
     r = 0.03
     level = 0.06  # constant discount level; > psi(1) keeps the dual put alive
     model = LevyModel.black_scholes(mu=r, sigma=0.2)
     pairs = [(18.0, 20.0), (20.0, 20.0), (22.0, 20.0), (20.0, 18.0), (16.0, 22.0)]
     worst_se = 0.0
+    worst_trunc = 0.0
     ok_pairs = True
     for i, (s0, strike) in enumerate(pairs):
         pb = PricingProblem(model, Constant(level), strike, "call")
         m = max(s0, strike)
         lhs, rhs = symmetry_check(pb, s0, Boundaries(1.35 * m, 2.4 * m),
-                                  30_000, 2e-3, 60.0, seed=300 + i)
+                                  30_000, 2e-3, default_t_max(pb.omega, strike),
+                                  seed=300 + i)
         comb = math.hypot(lhs.stderr, rhs.stderr)
         dev = abs(lhs.mean - rhs.mean) / comb
         worst_se = max(worst_se, dev)
         ok_pairs = ok_pairs and dev < 3.0
+        ok_pairs = ok_pairs and not lhs.unreliable and not rhs.unreliable
+        worst_trunc = max(worst_trunc, lhs.truncation_mass, rhs.truncation_mass)
 
     # dual boundary identity: u* of the dual put from the analytic route,
     # l*_c of the call located by common-path MC maximisation.  The call's
@@ -285,7 +291,8 @@ def test_criterion_9_put_call_symmetry():
     identity_err = abs(l_call * u_dual - s0 * strike) / (s0 * strike)
     ok_id = identity_err < 0.01
     assert _report(9, ok_pairs and ok_id,
-                   f"worst pair deviation {worst_se:.2f} se (want < 3); "
+                   f"worst pair deviation {worst_se:.2f} se (want < 3), "
+                   f"worst truncation mass {worst_trunc:.1e}; "
                    f"l_c*u_dual = {l_call * u_dual:.1f} vs sK = {s0 * strike:.0f} "
                    f"({100 * identity_err:.2f}%, want < 1%)")
 

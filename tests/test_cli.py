@@ -56,8 +56,8 @@ def test_preset_gold_loan_smoke(tmp_path):
     summary = _read_summary(tmp_path / "summary.txt")
     assert "call_mc" in summary and "dual_put_mc" in summary
     assert int(summary["mc_path_steps"]) > 0
-    assert summary["call_mc_unreliable"] in ("True", "False")
-    assert summary["dual_put_mc_unreliable"] in ("True", "False")
+    assert summary["call_mc_unreliable"] == "False"
+    assert summary["dual_put_mc_unreliable"] == "False"
 
 
 def test_config_roundtrip_bit_identical(tmp_path):

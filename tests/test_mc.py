@@ -60,14 +60,14 @@ def test_default_t_max_rule():
 
 
 def test_dt_refinement(bs_model):
-    """Halving dt moves the estimate by at most max(2 combined se, O(dt))."""
+    """Halving dt moves the estimate by at most max(2 combined se, O(dt)) for
+    a rate that still steps on a grid (0.07 below s = 20, 0.05 above)."""
     gamma = 2.5
     u = 20.0 * gamma / (1 + gamma)
+    fn = Step(0.05, 0.02, 20.0)
     kw = dict(n_paths=20_000, t_max=60.0, seed=10)
-    e1 = stopped_value(bs_model, Constant(0.05), 20.0, Boundaries(0.0, u),
-                       15.0, dt=4e-3, **kw)
-    e2 = stopped_value(bs_model, Constant(0.05), 20.0, Boundaries(0.0, u),
-                       15.0, dt=2e-3, **kw)
+    e1 = stopped_value(bs_model, fn, 20.0, Boundaries(0.0, u), 15.0, dt=4e-3, **kw)
+    e2 = stopped_value(bs_model, fn, 20.0, Boundaries(0.0, u), 15.0, dt=2e-3, **kw)
     tol = max(2.0 * math.hypot(e1.stderr, e2.stderr), 0.5 * 4e-3 * 20.0)
     assert abs(e1.mean - e2.mean) < tol
 
@@ -131,11 +131,13 @@ def test_stopped_value_two_sided_sigma_pos_vs_analytic(s0):
 # (mean, stderr, censored_fraction, truncation_mass) to 1e-12: a change to the
 # engine's cost must leave these bits alone, a change to the estimator moves them
 # (the sigma = 0 cases were re-pinned when their paths began to step from
-# event to event with the discount integrated exactly)
+# event to event with the discount integrated exactly, bs_constant when
+# constant-rate sigma > 0 paths began to step from event to event with
+# Brownian-bridge crossings)
 PINNED = {
     "crash_linear": (6.246430095417811, 0.06542097263250458, 0.0, 0.0),
-    "bs_constant": (5.0369225065402174, 0.02766567126967135, 0.1064,
-                    0.0052747846319455),
+    "bs_constant": (5.02815214912052, 0.026977328366925304, 0.1028,
+                    0.005096314475226033),
     "jump_step": (11.21575766219304, 0.042376382912684266, 0.0, 0.0),
     "symmetry": ((5.685784456261715, 0.04914128556415137, 0.271, 7.026660823166095),
                  (5.639960244079621, 0.0075323999049838435, 0.0088,
@@ -168,9 +170,14 @@ def test_engine_pinned_estimates(case, crash_model, crash_model_sigma, bs_model)
 
 
 def test_path_steps_count(bs_model):
-    # dt = 1/8 leaves no room to stretch, so every path takes 8 exact steps to
-    # t_max = 1 without reaching u = 1 from 15
+    # a constant rate takes one step per path to t_max = 1; a rate read on the
+    # step grid takes 8, since dt = 1/8 leaves no room to stretch; no path
+    # reaches u = 1 from 15
     est = stopped_value(bs_model, Constant(0.05), 20.0, Boundaries(0.0, 1.0),
+                        15.0, 1000, 0.125, t_max=1.0, seed=8)
+    assert est.censored_fraction == 1.0
+    assert est.path_steps == 1000
+    est = stopped_value(bs_model, Linear(0.001), 20.0, Boundaries(0.0, 1.0),
                         15.0, 1000, 0.125, t_max=1.0, seed=8)
     assert est.censored_fraction == 1.0
     assert est.path_steps == 8 * 1000
@@ -191,6 +198,36 @@ def test_sigma0_estimate_ignores_dt(crash_model):
         coarse = stopped_value(model, fn, 20.0, b, s0, dt=1e-2, **kw)
         assert fine == coarse
         assert fine.mean > 0.0
+
+
+def test_flat_rate_estimate_ignores_dt(bs_model, crash_model_sigma):
+    """sigma > 0 paths under a constant rate step from event to event with
+    bridge crossings, so dt has no effect: diffusion only, with jumps, and
+    two-sided from below l."""
+    two_sided = LevyModel.calibrated(r=0.30, sigma=0.2, lam=0.5, phi=3.0)
+    cases = ((bs_model, Boundaries(0.0, 14.0), 15.0),
+             (crash_model_sigma, Boundaries(0.0, 12.0), 15.0),
+             (two_sided, Boundaries(3.0, 4.0), 1.5))
+    for model, b, s0 in cases:
+        kw = dict(n_paths=5000, t_max=60.0, seed=31)
+        fine = stopped_value(model, Constant(0.05), 20.0, b, s0, dt=1e-3, **kw)
+        coarse = stopped_value(model, Constant(0.05), 20.0, b, s0, dt=1e-2, **kw)
+        assert fine == coarse
+        assert fine.mean > 0.0
+
+
+def test_stopped_value_crash_sigma_constant_vs_analytic(crash_model_sigma):
+    """The sigma = 0.2 crash put under a constant rate, stopped at its
+    analytic u* = 1.3575: paths enter by jumps and by bridge crossings, and
+    the estimate at s = 15 must read the analytic value 16.61333."""
+    res = optimize_boundaries(PricingProblem(crash_model_sigma, Constant(0.05), 20.0),
+                              n_curve=64)
+    analytic = float(res.value_fn(np.array([15.0]))[0])
+    assert analytic == pytest.approx(16.61333, abs=1e-5)
+    est = stopped_value(crash_model_sigma, Constant(0.05), 20.0, res.boundaries,
+                        15.0, 50_000, 1e-3, seed=11)
+    assert not est.unreliable
+    assert abs(est.mean - analytic) < 3.0 * est.stderr
 
 
 def test_sigma0_steps_per_path(crash_model):
@@ -295,20 +332,33 @@ def test_bermudan_increases_with_horizon_and_mesh(bs_model):
 # ---------------------------------------------------------------------------
 
 def test_symmetry_bs_two_sides_agree(bs_model):
-    pb = PricingProblem(bs_model, Constant(0.08), 20.0, "call")
-    lhs, rhs = symmetry_check(pb, 20.0, Boundaries(26.0, 50.0), 30_000, 2e-3,
-                              60.0, seed=9)
+    """The Black-Scholes call entered from below stops at l = 26, so its value
+    is (l - K) (s/l)^theta, theta the positive root of
+    sigma^2 theta^2 / 2 + zeta theta - omega = 0 (4.17086 here); both sides
+    must read it and agree.  Stopping at a step end's price past l, not at
+    l, reads high."""
+    mu, sigma, omega, K, s, l = 0.05, 0.2, 0.08, 20.0, 20.0, 26.0
+    zeta = mu - 0.5 * sigma * sigma
+    theta = (-zeta + math.sqrt(zeta * zeta + 2.0 * sigma * sigma * omega)) / (sigma * sigma)
+    ref = (l - K) * (s / l) ** theta
+    assert ref == pytest.approx(4.17086, abs=1e-5)
+    pb = PricingProblem(bs_model, Constant(omega), K, "call")
+    lhs, rhs = symmetry_check(pb, s, Boundaries(l, 50.0), 30_000, 2e-3,
+                              default_t_max(pb.omega, K), seed=9)
     comb = math.hypot(lhs.stderr, rhs.stderr)
     assert abs(lhs.mean - rhs.mean) < 3.0 * comb
-    assert lhs.mean > 0.5  # nondegenerate check
+    for est in (lhs, rhs):
+        assert abs(est.mean - ref) < 3.0 * est.stderr
+        assert not est.unreliable
 
 
 def test_symmetry_jump_two_sides_agree(crash_model_sigma):
     pb = PricingProblem(crash_model_sigma, Constant(0.06), 20.0, "call")
     lhs, rhs = symmetry_check(pb, 20.0, Boundaries(28.0, 55.0), 30_000, 2e-3,
-                              60.0, seed=9)
+                              default_t_max(pb.omega, 20.0), seed=9)
     comb = math.hypot(lhs.stderr, rhs.stderr)
     assert abs(lhs.mean - rhs.mean) < 3.0 * comb
+    assert not lhs.unreliable and not rhs.unreliable
 
 
 def test_symmetry_sigma0_two_sides_agree(crash_model):
