@@ -235,7 +235,7 @@ def run(cfg: dict, out_dir: Path, quiet: bool = False) -> int:
     summary["task"] = task
     summary["model"] = (f"mu={model.mu} sigma={model.sigma} lam={model.lam} "
                         f"phi={model.phi}")
-    summary["discount"] = f"{omega.kind} {omega.params()}"
+    summary["discount"] = repr(omega)
     try:
         if task in ("price", "boundaries"):
             if problem.payoff == "call":

@@ -48,10 +48,6 @@ class DiscountFn:
         """True when omega >= 0 everywhere (lets the pricer fix l* = 0)."""
         return self.lower_bound >= 0.0
 
-    def params(self) -> dict:
-        """Flat parameter dict for config echo."""
-        return {}
-
 
 @dataclass(frozen=True)
 class Constant(DiscountFn):
@@ -68,9 +64,6 @@ class Constant(DiscountFn):
     @property
     def lower_bound(self) -> float:
         return self.r
-
-    def params(self):
-        return {"r": self.r}
 
 
 @dataclass(frozen=True)
@@ -105,9 +98,6 @@ class Step(DiscountFn):
     def lower_bound(self) -> float:
         return min(self.r, self.r + self.rho)
 
-    def params(self):
-        return {"r": self.r, "rho": self.rho, "y": self.y, "direction": self.direction}
-
 
 @dataclass(frozen=True)
 class Linear(DiscountFn):
@@ -127,9 +117,6 @@ class Linear(DiscountFn):
     @property
     def lower_bound(self) -> float:
         return 0.0 if self.C >= 0.0 else -np.inf
-
-    def params(self):
-        return {"C": self.C}
 
 
 @dataclass(frozen=True)
@@ -154,9 +141,6 @@ class Rational(DiscountFn):
     def lower_bound(self) -> float:
         return -self.C - self.D
 
-    def params(self):
-        return {"C": self.C, "D": self.D}
-
 
 @dataclass(frozen=True)
 class LogArea(DiscountFn):
@@ -180,9 +164,6 @@ class LogArea(DiscountFn):
     @property
     def lower_bound(self) -> float:
         return 0.0
-
-    def params(self):
-        return {"K": self.K}
 
 
 @dataclass(frozen=True)
@@ -235,9 +216,6 @@ class Tabulated(DiscountFn):
     @property
     def lower_bound(self) -> float:
         return float(np.min(self._ws))
-
-    def params(self):
-        return {"knots_s": list(self._xs), "knots_w": list(self._ws)}
 
 
 def check_flat_below_one(fn: DiscountFn) -> Optional[float]:

@@ -102,10 +102,7 @@ def laplace_exponent(model: LevyModel, theta):
     theta = np.asarray(theta, dtype=float) if np.ndim(theta) else float(theta)
     if model.lam > 0.0 and np.any(np.asarray(theta) <= -model.phi):
         raise ValueError(f"theta must be > -phi = {-model.phi}")
-    out = model.zeta * theta + 0.5 * model.sigma ** 2 * theta * theta
-    if model.lam > 0.0:
-        out = out - model.lam * theta / (model.phi + theta)
-    return out
+    return _psi_continued(model, theta)
 
 
 def laplace_exponent_deriv(model: LevyModel, theta):
@@ -206,8 +203,8 @@ def _fast_root_error(model: LevyModel, q: float) -> RuntimeError:
                         f"at sigma = {model.sigma:.3g}; price with sigma = 0 or a larger sigma")
 
 
-def _psi_continued(model: LevyModel, theta: float) -> float:
-    # analytic continuation of psi below the pole at -phi
+def _psi_continued(model: LevyModel, theta):
+    # psi's formula, which continues it analytically below the pole at -phi
     out = model.zeta * theta + 0.5 * model.sigma ** 2 * theta * theta
     if model.lam > 0.0:
         out -= model.lam * theta / (model.phi + theta)

@@ -90,13 +90,16 @@ def default_t_max(omega: DiscountFn, strike: float) -> float:
 def _engine(zeta: float, sigma: float, lam: float, phi: float, jumps_up: bool,
             omega_fn: Callable, omega_int: Callable, payoff_fn: Callable,
             l: float, u: float, s0: float, n_paths: int, dt: float, t_max: float,
-            seed: int, payoff_cap: float = np.inf,
+            seed: int, payoff_cap: float,
             flat_rate: Optional[float] = None) -> McEstimate:
     """Vectorised first-entry estimator of E[e^{-int omega} payoff(S_tau)].
 
-    omega_fn is the rate at prices, omega_int its antiderivative in log price
-    (omega_int'(v) = omega_fn(e^v)) and flat_rate the rate's value when it is
-    constant, else None.  sigma = 0 with a drift reads omega_int; sigma > 0
+    payoff_cap bounds the payoff at every stopping point a path can reach;
+    a stopped payoff is clipped to it, and the truncation mass is the
+    censored paths' mean discount factor times it.  omega_fn is the rate at
+    prices, omega_int its antiderivative in log price (omega_int'(v) =
+    omega_fn(e^v)) and flat_rate the rate's value when it is constant,
+    else None.  sigma = 0 with a drift reads omega_int; sigma > 0
     with a flat_rate reads neither callable; dt is read only by sigma > 0
     without a flat_rate.
 
@@ -299,18 +302,11 @@ def _engine(zeta: float, sigma: float, lam: float, phi: float, jumps_up: bool,
     with np.errstate(over="ignore", under="ignore"):
         dfac = np.exp(-np.clip(disc_at_stop, -700.0, 700.0))
     vals = np.where(censored, 0.0, dfac * payoffs)
-    cap = payoff_cap if np.isfinite(payoff_cap) else _payoff_bound(payoff_fn, u)
-    cmass = float(np.mean(np.where(censored, dfac, 0.0))) * cap
+    cmass = float(np.mean(np.where(censored, dfac, 0.0))) * payoff_cap
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(n_paths))
     return McEstimate(mean, stderr, n_paths, cmass, float(np.mean(censored)),
                       path_steps)
-
-
-def _payoff_bound(payoff_fn, u: float) -> float:
-    probes = np.array([1e-8, u, 2.0 * u, 100.0 * u])
-    with np.errstate(over="ignore"):
-        return float(np.max(payoff_fn(probes)))
 
 
 def stopped_value(model: LevyModel, omega: DiscountFn, strike: float,
@@ -436,13 +432,20 @@ def symmetry_check(problem: PricingProblem, s: float, b: Boundaries,
     Left: the call under the original spectrally negative model, stopped on
     [l, u].  Right: the dual put (upward jumps) with transformed discount,
     spot, strike and boundaries.  Returns (call_estimate, dual_put_estimate).
+
+    The call payoff is capped at the edge of [l, u] the path meets:
+    max(l - K, 0) from s < l, since the price passes upward levels only by
+    diffusion and so enters at l, and max(u - K, 0) from s > u, where every
+    entry lies at or below u.  The cap is finite for a one-sided region
+    [l, inf), so its truncation mass is too.  The dual put is capped at its
+    strike.
     """
     if problem.payoff != "call":
         raise ValueError("symmetry check starts from a call problem")
     model = problem.model
     K = problem.strike
     payoff_call = lambda sv: np.maximum(sv - K, 0.0)
-    cap = max(b.u - K, 0.0) if math.isfinite(b.u) else np.inf
+    cap = max((b.l if s < b.l else b.u) - K, 0.0)
     omega_int = problem.omega.log_antiderivative
     flat_rate = problem.omega.r if problem.omega.kind == "constant" else None
     lhs = _engine(model.zeta, model.sigma, model.lam, model.phi, False,

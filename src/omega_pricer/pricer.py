@@ -12,9 +12,11 @@ Two analytic routes cover the supported model/discount combinations:
   valuation.  Above u the value is a recessive solution of the renewal
   state system, fixed by the generator equation at u+ and, when sigma > 0,
   by continuity at u; one scale.RecessiveBasis per problem serves every
-  barrier and every rate kind.  The jump from above u lands below u on the
-  memoryless overshoot average, K - u phi/(phi+1) + u^{-phi} B(l), where
-  the overshoot gain B(l) (0 at l = 0) is what continuing below l adds.
+  barrier and every rate kind.  The value above u and the fit residual at
+  u read the one coefficient solve of that solution.  The jump from above
+  u lands below u on the memoryless overshoot average,
+  K - u phi/(phi+1) + u^{-phi} B(l), where the overshoot gain B(l) (0 at
+  l = 0) is what continuing below l adds.
   Below l > 0 the value follows the upward-passage function H, one forward
   integration of the renewal state system of psi - c from the level s = 1
   below which the rate is the flat c, run on the first read of H.  l
@@ -22,7 +24,9 @@ Two analytic routes cover the supported model/discount combinations:
   every u (l* = 0 where omega >= 0), and u* is the fit root with the
   landing mean that l* gives.
 
-Calls are handled exclusively through the put-call transform.
+One root scan (first sign change on a node grid, polished by brentq) finds
+u* on both routes and l* on the Black-Scholes route.  Calls are handled
+exclusively through the put-call transform.
 """
 
 from __future__ import annotations
@@ -323,7 +327,11 @@ class _JumpValuation:
     Above u the value is the recessive solution of the renewal state system
     that meets the generator equation at s = u+ (and, when sigma > 0,
     continuity at u); one RecessiveBasis on [0.02 K, 2.2 K] serves every
-    barrier and rate kind.  Below l > 0 the value is (K - l) H(s)/H(l).
+    barrier and rate kind.  value and fit_gap read the same coefficients,
+    _coef(u, K - u, gbar): the solve is linear in (F(u), gbar), so it holds
+    the jump-passage part (gbar times the solution for (1, 1) minus (1, 0))
+    and the creeping part ((K - u) times the (1, 0) solution, zero for
+    sigma = 0) at once.  Below l > 0 the value is (K - l) H(s)/H(l).
     Where omega equals its flat level c (y = log s <= 0) H = e^{Phi(c) y};
     above, H is the forward solution of the renewal state system of psi - c
     with rate omega(e^y) - c, started at y = 0 from H = 1 and integrated up
@@ -382,15 +390,6 @@ class _JumpValuation:
             rhs.append(f0)
         return basis, np.linalg.solve(np.array(rows), np.array(rhs))
 
-    def passage_split(self, u: float, x: np.ndarray) -> tuple:
-        """(total down-passage factor, creeping part) at log-distances x >= 0."""
-        y = math.log(u) + np.atleast_1d(np.asarray(x, dtype=float))
-        total = self.core.evaluate(math.log(u), self._coef(u, 1.0, 1.0)[1], y)
-        creep = np.zeros_like(total)
-        if self.problem.model.sigma > 0.0:
-            creep = self.core.evaluate(math.log(u), self._coef(u, 1.0, 0.0)[1], y)
-        return total, creep
-
     def fit_gap(self, u: float, gbar: float) -> float:
         """Fit residual at barrier u: V(u+) - (K - u) for sigma = 0 (continuous
         fit), u (V'(u+) + 1) for sigma > 0 (smooth fit), where gbar is the mean
@@ -429,10 +428,6 @@ class _JumpValuation:
             i_over_h = (1.0 / (phi_c + phi) + tail) / h_l
         return float(phi * (K - l) * i_over_h - K * l ** phi + phi / (phi + 1.0) * l ** (phi + 1.0))
 
-    def overshoot_average(self, l: float, u: float) -> float:
-        """E[G(Y)] for Y ~ Exp(phi): landing payoff or continuation below l."""
-        return _overshoot_mean(self.problem, u, self.overshoot_gain(l))
-
     def value(self, b: Boundaries, s) -> np.ndarray:
         K = self.problem.strike
         s = np.atleast_1d(np.asarray(s, dtype=float))
@@ -442,10 +437,9 @@ class _JumpValuation:
             out[below] = self.h_at(s[below]) / self.h_at(b.l)[0] * (K - b.l)
         above = s > b.u
         if np.any(above):
-            x = np.log(s[above] / b.u)
-            total, creep = self.passage_split(b.u, x)
-            gbar = self.overshoot_average(b.l, b.u)
-            out[above] = gbar * (total - creep) + (K - b.u) * creep
+            gbar = _overshoot_mean(self.problem, b.u, self.overshoot_gain(b.l))
+            coef = self._coef(b.u, K - b.u, gbar)[1]
+            out[above] = self.core.evaluate(math.log(b.u), coef, np.log(s[above]))
         return out
 
 
@@ -453,12 +447,12 @@ def value_jump(problem: PricingProblem, b: Boundaries, s,
                valuation: Optional[_JumpValuation] = None):
     """Value of stopping on first entry into [l, u] for exponential-jump models.
 
-    Above u the value splits into a jump-passage part weighted by the
-    overshoot average and, when sigma > 0, a creeping part that lands
-    exactly at u.  Memorylessness detaches the exponential overshoot from
-    the crossing level, so the average folds analytically against the
-    landing payoff and, for l > 0, the below-l continuation factor
-    H(.)/H(l); Monte Carlo (`mc.stopped_value`) is the independent check.
+    Above u the value is one recessive solution fixed at u by the overshoot
+    average and, when sigma > 0, by the creeping value K - u at u.
+    Memorylessness detaches the exponential overshoot from the crossing
+    level, so the average folds analytically against the landing payoff
+    and, for l > 0, the below-l continuation factor H(.)/H(l); Monte Carlo
+    (`mc.stopped_value`) is the independent check.
     The value is defined up to 2.2 K (built from the problem when no
     valuation is given).
     """
@@ -468,23 +462,12 @@ def value_jump(problem: PricingProblem, b: Boundaries, s,
     return float(out[0]) if np.ndim(s) == 0 else out
 
 
-def _crash_fit_root(problem: PricingProblem, valuation: _JumpValuation,
-                    lo: float, gain: float) -> float:
-    """Upper boundary: the first root of valuation.fit_gap on [lo, 0.995 K]
-    for the landing mean _overshoot_mean(problem, u, gain)."""
-    K = problem.strike
-
-    # brentq holds its function in a reference cycle: pass the basis, do not capture it
-    def gap(u, valuation):
-        return valuation.fit_gap(u, _overshoot_mean(problem, u, gain))
-
-    us = np.linspace(lo, 0.995 * K, 48)
-    vals = [gap(x, valuation) for x in us]
-    for x0, x1, v0, v1 in zip(us[:-1], us[1:], vals[:-1], vals[1:]):
-        if v0 * v1 < 0.0:
-            return brentq(gap, x0, x1, args=(valuation,), xtol=1e-10)
-    raise RuntimeError(f"no fit root for the upper boundary in [{lo:.6g}, {0.995 * K:.6g}]; "
-                       "stopping set degenerate")
+def _fit_gap(u, valuation: _JumpValuation, gain: float):
+    """valuation.fit_gap at the barrier u (a scalar, or a node array read one
+    node at a time) for the landing mean _overshoot_mean(problem, u, gain)."""
+    if np.ndim(u):
+        return [_fit_gap(x, valuation, gain) for x in u]
+    return valuation.fit_gap(u, _overshoot_mean(valuation.problem, u, gain))
 
 
 def _jump_boundaries(problem: PricingProblem, valuation: _JumpValuation) -> tuple:
@@ -523,7 +506,11 @@ def _jump_boundaries(problem: PricingProblem, valuation: _JumpValuation) -> tupl
         shrink = max(abs(left[1] / left[0]), abs(right[1] / right[0]))
         diagnostics = {"l_condition": "kink" if shrink > 0.1 else "smooth",
                        "l_slopes": {"step": h, "left": left, "right": right}}
-    u_star = _crash_fit_root(problem, valuation, max(0.02 * K, l_star), b_star)
+    lo, hi = max(0.02 * K, l_star), 0.995 * K
+    u_star = _root_scan(lambda u: _fit_gap(u, valuation, b_star), lo, hi, n=48, xtol=1e-10)
+    if u_star is None:
+        raise RuntimeError(f"no fit root for the upper boundary in [{lo:.6g}, {hi:.6g}]; "
+                           "stopping set degenerate")
     if u_star <= l_star:
         raise RuntimeError(f"upper boundary {u_star:.10g} not above l* = {l_star:.10g}")
     diagnostics["fit_condition"] = "continuous" if problem.model.sigma == 0.0 else "smooth"
@@ -784,8 +771,9 @@ def optimize_boundaries(problem: PricingProblem, n_curve: int = 512) -> PricingR
     return result
 
 
-def _root_scan(f, lo, hi, n=192):
-    """First sign change of f on n nodes of [lo, hi], polished by brentq.
+def _root_scan(f, lo, hi, n=192, xtol=1e-12):
+    """First sign change of f on n nodes of [lo, hi], polished by brentq to
+    xtol; None when f keeps its sign.
 
     f takes the whole node array in one call and scalars in the polish.
     """
@@ -794,7 +782,7 @@ def _root_scan(f, lo, hi, n=192):
     for x0, x1, v0, v1 in zip(xs[:-1], xs[1:], vals[:-1], vals[1:]):
         if np.isfinite(v0) and np.isfinite(v1) and v0 * v1 < 0.0:
             # brentq holds its function in a reference cycle: pass f, do not capture it
-            return brentq(_polish, x0, x1, args=(f,), xtol=1e-12)
+            return brentq(_polish, x0, x1, args=(f,), xtol=xtol)
     return None
 
 

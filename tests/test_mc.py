@@ -133,13 +133,15 @@ def test_stopped_value_two_sided_sigma_pos_vs_analytic(s0):
 # (the sigma = 0 cases were re-pinned when their paths began to step from
 # event to event with the discount integrated exactly, bs_constant when
 # constant-rate sigma > 0 paths began to step from event to event with
-# Brownian-bridge crossings)
+# Brownian-bridge crossings; the symmetry call side's truncation mass when
+# its payoff cap became the edge the path meets, l - K = 8 from below, not
+# u - K = 35)
 PINNED = {
     "crash_linear": (6.246430095417811, 0.06542097263250458, 0.0, 0.0),
     "bs_constant": (5.02815214912052, 0.026977328366925304, 0.1028,
                     0.005096314475226033),
     "jump_step": (11.21575766219304, 0.042376382912684266, 0.0, 0.0),
-    "symmetry": ((5.685784456261715, 0.04914128556415137, 0.271, 7.026660823166095),
+    "symmetry": ((5.685784456261715, 0.04914128556415137, 0.271, 1.6060939024379646),
                  (5.639960244079621, 0.0075323999049838435, 0.0088,
                   0.1674163787121255)),
 }
@@ -331,16 +333,22 @@ def test_bermudan_increases_with_horizon_and_mesh(bs_model):
 # Put-call symmetry
 # ---------------------------------------------------------------------------
 
-def test_symmetry_bs_two_sides_agree(bs_model):
-    """The Black-Scholes call entered from below stops at l = 26, so its value
-    is (l - K) (s/l)^theta, theta the positive root of
-    sigma^2 theta^2 / 2 + zeta theta - omega = 0 (4.17086 here); both sides
-    must read it and agree.  Stopping at a step end's price past l, not at
-    l, reads high."""
-    mu, sigma, omega, K, s, l = 0.05, 0.2, 0.08, 20.0, 20.0, 26.0
+def _bs_call_from_below(mu, sigma, omega, K, s, l):
+    """(l - K) (s/l)^theta, theta the positive root of
+    sigma^2 theta^2 / 2 + zeta theta - omega = 0: the Black-Scholes call
+    entered from below, which stops at l."""
     zeta = mu - 0.5 * sigma * sigma
     theta = (-zeta + math.sqrt(zeta * zeta + 2.0 * sigma * sigma * omega)) / (sigma * sigma)
-    ref = (l - K) * (s / l) ** theta
+    return (l - K) * (s / l) ** theta
+
+
+def test_symmetry_bs_two_sides_agree(bs_model):
+    """The Black-Scholes call entered from below stops at l = 26, so its value
+    is the closed form of _bs_call_from_below (4.17086 here); both sides
+    must read it and agree.  Stopping at a step end's price past l, not at
+    l, reads high."""
+    omega, K, s, l = 0.08, 20.0, 20.0, 26.0
+    ref = _bs_call_from_below(0.05, 0.2, omega, K, s, l)
     assert ref == pytest.approx(4.17086, abs=1e-5)
     pb = PricingProblem(bs_model, Constant(omega), K, "call")
     lhs, rhs = symmetry_check(pb, s, Boundaries(l, 50.0), 30_000, 2e-3,
@@ -350,6 +358,22 @@ def test_symmetry_bs_two_sides_agree(bs_model):
     for est in (lhs, rhs):
         assert abs(est.mean - ref) < 3.0 * est.stderr
         assert not est.unreliable
+
+
+def test_symmetry_one_sided_call_region(bs_model):
+    """A call region [l, inf) entered from below: the call payoff is capped
+    at l - K, the edge every path meets, so a censored path leaves a finite
+    truncation mass and both sides read the closed form of
+    _bs_call_from_below (4.17086) as reliable estimates."""
+    omega, K, s, l = 0.08, 20.0, 20.0, 26.0
+    ref = _bs_call_from_below(0.05, 0.2, omega, K, s, l)
+    pb = PricingProblem(bs_model, Constant(omega), K, "call")
+    ests = symmetry_check(pb, s, Boundaries(l, math.inf), 5000, 2e-3,
+                          default_t_max(pb.omega, K), seed=3)
+    for est in ests:
+        assert math.isfinite(est.truncation_mass)
+        assert not est.unreliable
+        assert abs(est.mean - ref) < 3.0 * est.stderr
 
 
 def test_symmetry_jump_two_sides_agree(crash_model_sigma):

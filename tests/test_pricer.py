@@ -20,6 +20,7 @@ from omega_pricer.pricer import (
     value_bs,
     value_jump,
     _JumpValuation,
+    _overshoot_mean,
 )
 from reference_scale import classical_w, classical_z, phi_right_inverse
 
@@ -458,7 +459,8 @@ def test_overshoot_average_vs_quadrature(sigma):
             inside = quad(lambda w: density(w) * (K - w), l, u, epsabs=0.0, epsrel=1e-12)[0]
             below = quad(lambda w: density(w) * (K - l) * ts.h_at(w)[0] / h_l, 0.0, l,
                          points=[1.0] if l > 1.0 else None, epsabs=0.0, epsrel=1e-12)[0]
-            assert ts.overshoot_average(l, u) == pytest.approx(inside + below, rel=1e-8)
+            got = _overshoot_mean(pb, u, ts.overshoot_gain(l))
+            assert got == pytest.approx(inside + below, rel=1e-8)
 
 
 def test_two_sided_step_boundaries_sigma0():

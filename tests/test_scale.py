@@ -1,4 +1,5 @@
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -198,9 +199,17 @@ def test_march_rejects_coarse_grid(crash_model):
         assert err.value.suggested_n > 31
 
 
+def _passage_factor(val, u, x, g):
+    """Recessive solution with F(u) = 1 (sigma > 0) and landing mean g at the
+    log-distances x >= 0 above u: the total down-passage factor for g = 1,
+    its creeping part for g = 0."""
+    return val.core.evaluate(math.log(u), val._coef(u, 1.0, g)[1],
+                             math.log(u) + np.asarray(x, dtype=float))
+
+
 def test_creeping_sigma_zero_is_zero(crash_model):
     val = _JumpValuation(PricingProblem(crash_model, Linear(0.1), 20.0))
-    assert np.all(val.passage_split(4.0, [0.0, 0.5])[1] == 0.0)
+    assert np.all(_passage_factor(val, 4.0, [0.0, 0.5], 0.0) == 0.0)
 
 
 def _passage_closed_form(model, q, x):
@@ -220,7 +229,7 @@ def test_creeping_constant_rate_closed_form(crash_model_sigma, x):
     # recessive solutions with (F(0), gbar) = (1, 1) and (1, 0) at u = 1
     q = 0.05
     val = _JumpValuation(PricingProblem(crash_model_sigma, Constant(q), 20.0))
-    total, creep = val.passage_split(1.0, [x])
+    total, creep = (_passage_factor(val, 1.0, [x], g) for g in (1.0, 0.0))
     want_total, want_creep = _passage_closed_form(crash_model_sigma, q, x)
     assert total[0] == pytest.approx(want_total, rel=1e-6)
     assert creep[0] == pytest.approx(want_creep, rel=1e-6)
@@ -228,8 +237,8 @@ def test_creeping_constant_rate_closed_form(crash_model_sigma, x):
 
 def test_creeping_profile_matches_pointwise(crash_model_sigma):
     val = _JumpValuation(PricingProblem(crash_model_sigma, Linear(0.1), 20.0))
-    total, prof = val.passage_split(4.0, np.array([0.3, 0.8]))
-    single = val.passage_split(4.0, [0.3])[1]
+    total, prof = (_passage_factor(val, 4.0, [0.3, 0.8], g) for g in (1.0, 0.0))
+    single = _passage_factor(val, 4.0, [0.3], 0.0)
     assert prof[0] == pytest.approx(single[0], rel=1e-12)
     assert np.all(prof > 0.0) and np.all(prof < total) and np.all(total < 1.0)
 
@@ -237,7 +246,7 @@ def test_creeping_profile_matches_pointwise(crash_model_sigma):
 def test_creeping_requires_positive_x(crash_model_sigma):
     val = _JumpValuation(PricingProblem(crash_model_sigma, Constant(0.05), 20.0))
     with pytest.raises(ValueError):
-        val.passage_split(1.0, [-0.5])
+        _passage_factor(val, 1.0, [-0.5], 0.0)
 
 
 @pytest.mark.parametrize("u", [4.0, 12.0])
