@@ -59,7 +59,6 @@ _SCHEMA = {
     "numerics": {
         "grid_n": (int, 1537),
         "x_max": (float, 3.0),
-        "dt": (float, 1e-3),
         "n_paths": (int, 200_000),
         "seed": (int, 0),
         "t_max": (float, None),
@@ -94,8 +93,8 @@ PRESETS = {
         "discount": {"kind": "constant", "r": 0.03},
         "contract": {"payoff": "call", "strike": 20.0},
         "task": {"task": "symmetry"},
-        "numerics": {"n_paths": 20_000, "dt": 2e-3,
-                     "call_spot": 20.0, "call_l": 30.0, "call_u": 60.0},
+        "numerics": {"n_paths": 20_000, "call_spot": 20.0, "call_l": 30.0,
+                     "call_u": 60.0},
     },
 }
 
@@ -271,8 +270,8 @@ def run(cfg: dict, out_dir: Path, quiet: bool = False) -> int:
             result = optimize_boundaries(problem, n_curve=num["curve_n"])
             s0 = num["mc_spot"] if num["mc_spot"] is not None else 0.75 * problem.strike + 0.25 * 2 * problem.strike
             est = stopped_value(model, omega, problem.strike, result.boundaries,
-                                s0, num["n_paths"], num["dt"],
-                                t_max=num["t_max"], seed=num["seed"])
+                                s0, num["n_paths"], t_max=num["t_max"],
+                                seed=num["seed"])
             analytic = float(np.atleast_1d(result.value_fn(np.array([s0])))[0])
             summary["l_star"] = f"{result.l_star:.10g}"
             summary["u_star"] = f"{result.u_star:.10g}"
@@ -293,8 +292,8 @@ def run(cfg: dict, out_dir: Path, quiet: bool = False) -> int:
                            num["call_u"] if num["call_u"] is not None else 2.5 * max(s0, K))
             t_max = num["t_max"] if num["t_max"] is not None \
                 else default_t_max(omega, K)
-            lhs, rhs = symmetry_check(problem, s0, b, num["n_paths"],
-                                      num["dt"], t_max, seed=num["seed"])
+            lhs, rhs = symmetry_check(problem, s0, b, num["n_paths"], t_max,
+                                      seed=num["seed"])
             comb = (lhs.stderr ** 2 + rhs.stderr ** 2) ** 0.5
             summary["call_mc"] = f"{lhs.mean:.8g} +- {lhs.stderr:.4g}"
             summary["dual_put_mc"] = f"{rhs.mean:.8g} +- {rhs.stderr:.4g}"

@@ -5,7 +5,7 @@ They read the rate only, never its slope, so kinked and discontinuous kinds
 (log-area, step, tabulated) enter exactly like smooth ones.  Every kind also
 has a closed-form antiderivative in log price, A(v) with A'(v) = omega(e^v),
 which the Monte Carlo engine uses to integrate the discount exactly along
-drift segments.
+drift segments, and bounds on price windows, which set its discount clock.
 """
 
 from __future__ import annotations
@@ -38,6 +38,13 @@ class DiscountFn:
     def log_antiderivative(self, v):
         """A(v) with A'(v) = omega(e^v), vectorised over the log-price v."""
         raise NotImplementedError
+
+    def bounds(self, s_lo, s_hi):
+        """(min, max) of omega on each price window [s_lo, s_hi], vectorised:
+        the values at the ends, which bound every kind monotone in s."""
+        a = np.asarray(self(s_lo), dtype=float)
+        b = np.asarray(self(s_hi), dtype=float)
+        return np.minimum(a, b), np.maximum(a, b)
 
     @property
     def lower_bound(self) -> float:
@@ -212,6 +219,15 @@ class Tabulated(DiscountFn):
         at_knot = np.concatenate([[0.0], np.cumsum(a * np.diff(lx) + np.diff(ws))])
         k = np.clip(np.searchsorted(xs, s, side="right") - 1, 0, xs.size - 2)
         return at_knot[k] + a[k] * (v - lx[k]) + b[k] * (s - xs[k])
+
+    def bounds(self, s_lo, s_hi):
+        # the interpolant's extremes on a window (clipped to the hull) lie at
+        # its ends or at knots inside it: the knots clipped to the window
+        xs = self._xs
+        lo = np.clip(s_lo, xs[0], xs[-1])[..., None]
+        hi = np.clip(s_hi, xs[0], xs[-1])[..., None]
+        w = np.interp(np.clip(xs, lo, hi), xs, self._ws)
+        return w.min(axis=-1), w.max(axis=-1)
 
     @property
     def lower_bound(self) -> float:

@@ -1,41 +1,41 @@
 """Independent verification engine: first-entry Monte Carlo and Bermudan rollback.
 
 Paths are advanced exactly in law: exponential inter-arrival jump times,
-exact Exp(phi) jump sizes, Gaussian increments between events.
+exact Exp(phi) jump sizes, Gaussian increments between events.  Nothing is
+discretised.
 
-For sigma = 0 nothing is discretised.  A path moves along its drift between
-jumps, so it steps straight to its next event: a jump, the exact time the
-drift reaches the barrier it runs towards, or the horizon.  The discount
-grows by (A(x_new) - A(x)) / zeta along each step, with A the closed-form
+For sigma = 0 a path moves along its drift between jumps, so it steps
+straight to its next event: a jump, the exact time the drift reaches the
+barrier it runs towards, or the horizon.  The discount grows by
+(A(x_new) - A(x)) / zeta along each step, with A the closed-form
 antiderivative of omega in log price (DiscountFn.log_antiderivative), or by
-omega dt when zeta = 0; dt is not read.
+omega dt when zeta = 0.
 
-For sigma > 0 and a constant rate nothing is discretised either.  Between
-jumps the log price is a Brownian motion with drift, so a path takes one
-Gaussian step to its next event (a jump or the horizon) and tests the one
+For sigma > 0 the log price is a Brownian motion with drift between jumps,
+so a path takes one Gaussian step to its next event and tests the one
 barrier it can reach first: u from above, l from below.  It stops if the
 step ends past that barrier, or else with the Brownian-bridge crossing
-probability exp(-2 a c / dt_i), where a and c are the distances of the
-step's start and end from the barrier in units of sigma.  A stopped path's
-crossing time is s dt_i / (dt_i + s) with s ~ Wald(a dt_i / c, a^2) (the
-time change of the bridge's first passage; by reflection the same law
-whether the end lies past the barrier or not); it stops at the barrier's
-price and its discount grows by the rate times that time.  dt is not read.
-
-For sigma > 0 and any other rate two things are discretised.  The running
-discount integral int omega(S) dw is a trapezoid on the step grid.  Barrier
-crossing is detected by endpoint tests, whose bias is quantified through
-step-refinement rather than corrected by bridge sampling.  Steps stretch
-adaptively far from the barrier and shrink back to the base step dt nearby,
-which leaves the detection bias at the base-step scale while keeping long
-horizons affordable.
+probability exp(-2 a c / dt_i), a and c the distances of the step's start
+and end from the barrier in units of sigma; it then stops at the barrier's
+price at time s dt_i / (dt_i + s), s ~ Wald(a dt_i / c, a^2) (the time
+change of the bridge's first passage; by reflection the same law whether
+the end lies past the barrier or not).  Under a constant rate the events
+are jumps and the horizon, and the discount grows by the rate times the
+time.  Any other rate adds a discount clock, the Poisson estimator of
+Beskos, Papaspiliopoulos, Roberts & Fearnhead (2006):
+e^{-int omega} = e^{-int lo} E[prod_j (1 - (omega(S_j) - lo) / c)] over the
+events S_j of a Poisson clock of rate c.  A step reads lo and hi, the
+bounds of omega on the log-price window x +- _DELTA, grows the discount by
+lo times the time, is capped at (_DELTA / 3 sigma)^2 and ends early at a
+clock event of rate c = max(hi - lo, _C_MIN), where the path's weight takes
+the factor 1 - (omega(S) - lo) / c.
 
 The vectorised engine keeps the live paths in compact arrays in path order
 and filters them only on a step where some path stops or reaches the
-horizon.  It carries a level at each path's current point (A where a
-sigma = 0 path drifts, omega where a sigma > 0 path steps on a grid), so a
-step evaluates it once, at its new end, and again only where a jump moved
-the path.  Each estimate reports the number of path-steps it took.
+horizon.  A sigma = 0 path carries a level at its current point (A where it
+drifts, omega without a drift), so a step evaluates it once, at its new end,
+and again only where a jump moved the path.  Each estimate reports the
+number of path-steps it took.
 """
 
 from __future__ import annotations
@@ -87,26 +87,41 @@ def default_t_max(omega: DiscountFn, strike: float) -> float:
 # Vectorised stopped-value engine
 # ---------------------------------------------------------------------------
 
+# The discount clock of a sigma > 0 path under a non-constant rate.  A step
+# bounds omega on the log-price window x +- _DELTA and is capped at
+# (_DELTA / 3 sigma)^2, so its Gaussian move leaves the window with
+# probability under 0.3%.  The clock rate is at least _C_MIN per unit time:
+# any c > 0 keeps the estimator unbiased, but hi - lo = 0 on a flat window
+# runs no clock, so a path leaving it mid-step is discounted at lo past its
+# edge.  Weights below _W_MIN go through Russian roulette: a climbing path
+# meets clock rates that grow with omega, and without it its steps shorten.
+_DELTA = 0.25
+_C_MIN = 0.05
+_W_MIN = 1e-3
+
+
 def _engine(zeta: float, sigma: float, lam: float, phi: float, jumps_up: bool,
-            omega_fn: Callable, omega_int: Callable, payoff_fn: Callable,
-            l: float, u: float, s0: float, n_paths: int, dt: float, t_max: float,
-            seed: int, payoff_cap: float,
+            omega_fn: Callable, omega_int: Callable, omega_bounds: Callable,
+            payoff_fn: Callable, l: float, u: float, s0: float, n_paths: int,
+            t_max: float, seed: int, payoff_cap: float,
             flat_rate: Optional[float] = None) -> McEstimate:
     """Vectorised first-entry estimator of E[e^{-int omega} payoff(S_tau)].
 
     payoff_cap bounds the payoff at every stopping point a path can reach;
     a stopped payoff is clipped to it, and the truncation mass is the
-    censored paths' mean discount factor times it.  omega_fn is the rate at
-    prices, omega_int its antiderivative in log price (omega_int'(v) =
-    omega_fn(e^v)) and flat_rate the rate's value when it is constant,
-    else None.  sigma = 0 with a drift reads omega_int; sigma > 0
-    with a flat_rate reads neither callable; dt is read only by sigma > 0
-    without a flat_rate.
+    censored paths' mean discount factor, clock weight included, times it.
+    omega_fn is the rate at prices, omega_int its antiderivative in log price
+    (omega_int'(v) = omega_fn(e^v)), omega_bounds(s_lo, s_hi) its (min, max)
+    on price windows and flat_rate its value when it is constant, else None.
+    sigma = 0 reads omega_int with a drift and omega_fn without one; sigma > 0
+    reads omega_bounds at each step and omega_fn at clock events, or none of
+    the callables with a flat_rate.
 
     rng_j draws the jump times and sizes.  rng_n draws, on each sigma > 0
-    step, one standard normal per live path; with a flat_rate it then draws
-    one uniform per path whose step ends short of its barrier and one Wald
-    variate per path that stops on the step, each in path order.
+    step, one standard normal per live path, then one uniform per path whose
+    step ends short of its barrier and one Wald variate per path that stops
+    on the step, each in path order.  rng_c draws, on each clocked step, c
+    times the clock time per live path, then one uniform per roulette path.
     """
     has_l = l > 0.0
     log_l = math.log(l) if has_l else -math.inf
@@ -117,7 +132,7 @@ def _engine(zeta: float, sigma: float, lam: float, phi: float, jumps_up: bool,
     rng_n = np.random.Generator(np.random.Philox(key=seed))
     rng_j = np.random.Generator(np.random.Philox(key=seed ^ 0x9E3779B97F4A7C15))
     # live set in path order: log-price, time, discount integral, next jump
-    # time, the level at the current point (below), path index
+    # time, the sigma = 0 level (below) or the clock weight, path index
     x = np.full(n_paths, x0)
     t = np.zeros(n_paths)
     d = np.zeros(n_paths)
@@ -127,26 +142,23 @@ def _engine(zeta: float, sigma: float, lam: float, phi: float, jumps_up: bool,
     censored = np.zeros(n_paths, dtype=bool)
     path = np.arange(n_paths)
     jump_dir = +1.0 if jumps_up else -1.0
-    # the level carried per path: omega at the current point, or its
-    # antiderivative where the discount integrates in closed form along a drift
+    clocked = sigma > 0.0 and flat_rate is None
+    if clocked:
+        rng_c = np.random.Generator(np.random.Philox(key=seed ^ 0xBB67AE8584CAA73B))
+        step_cap = (_DELTA / (3.0 * sigma)) ** 2
+        wt = np.ones(n_paths)
+        wt_at_stop = np.ones(n_paths)
+    # sigma = 0: the barrier the drift runs towards, and the level carried per
+    # path, the rate's antiderivative along a drift, else the rate itself
+    target = math.inf
     level = lambda v: np.asarray(omega_fn(np.exp(v)), dtype=float)
-    target = math.inf  # sigma = 0: the barrier the drift runs towards
-    bridge = sigma > 0.0 and flat_rate is not None
-    if bridge:
-        level = None  # the discount grows by flat_rate times the time
-    elif sigma > 0.0:
-        rate_scale = abs(zeta) + sigma + (lam / phi if lam > 0.0 else 0.0)
-        m_disc = max(1.0, 0.02 / (dt * max(rate_scale, 1e-6)))
-        m_cap = max(1.0, 0.1 / dt)
-        m_max = min(m_disc, m_cap)
-        safety = 8.0
-    elif zeta != 0.0:
+    if sigma == 0.0 and zeta != 0.0:
         target = log_u if zeta < 0.0 else log_l
         level = lambda v: np.asarray(omega_int(v), dtype=float)
     path_steps = 0
 
     with np.errstate(over="ignore"):
-        w = None if bridge else level(x)
+        w = level(x) if sigma == 0.0 else None
         while x.size:
             path_steps += x.size
             if sigma == 0.0:
@@ -177,17 +189,29 @@ def _engine(zeta: float, sigma: float, lam: float, phi: float, jumps_up: bool,
                 d_new += d
                 t_new = t + dt_i
                 stopping = (x_new >= log_l) & (x_new <= log_u)
-            elif bridge:
-                # one Gaussian step to the next event, a jump or t_max, tested
-                # against the barrier the path reaches first: u from above, l
-                # from below; a and c are the distances of the step's start
-                # and end from it, c <= 0 where the end lies past it
+            else:
+                # one Gaussian step to the next event, a jump or t_max, and on
+                # clocked paths the cap or a clock event, tested against the
+                # barrier the path reaches first: u from above, l from below;
+                # a and c are the distances of the step's start and end from
+                # it, c <= 0 where the end lies past it
                 dt_i = t_max - t
                 at_horizon = np.ones(x.size, dtype=bool)
+                if clocked:
+                    lo, hi = omega_bounds(np.exp(x - _DELTA), np.exp(x + _DELTA))
+                    rate = np.maximum(hi - lo, _C_MIN)
+                    t_clock = rng_c.standard_exponential(x.size) / rate
+                    capped = dt_i > step_cap
+                    dt_i[capped] = step_cap
+                    clocking = t_clock < dt_i
+                    dt_i[clocking] = t_clock[clocking]
+                    at_horizon &= ~(capped | clocking)
                 if lam > 0.0:
                     jumping = np.flatnonzero(t_jump <= t + dt_i)
                     dt_i[jumping] = t_jump[jumping] - t[jumping]
                     at_horizon[jumping] = False
+                    if clocked:
+                        clocking[jumping] = False
                 x_new = rng_n.standard_normal(x.size)
                 x_new *= np.sqrt(dt_i)
                 x_new *= sigma
@@ -224,52 +248,22 @@ def _engine(zeta: float, sigma: float, lam: float, phi: float, jumps_up: bool,
                 dt_i[stopping] = np.fmin(s_h, dt_h, out=s_h)
                 passed_dn = stopping & above
                 passed_up = stopping & below
-                d_new = dt_i * flat_rate
+                d_new = dt_i * (lo if clocked else flat_rate)
                 d_new += d
                 t_new = t + dt_i
                 w_new = None
-            else:
-                # step stretching, provably clear of the barrier for diffusive
-                # moves: dt * clip((dist / (safety sigma))^2 / dt, 1, m_max);
-                # the in-place updates here and below keep the operation order
-                # of the written formulas, so the estimates round the same
-                m = np.abs(x - log_u)
-                if has_l:
-                    np.minimum(m, np.abs(x - log_l), out=m)
-                m /= safety * sigma
-                np.square(m, out=m)
-                m /= dt
-                dt_i = np.clip(m, 1.0, m_max, out=m)
-                dt_i *= dt
-                np.minimum(dt_i, t_max - t, out=dt_i)
-                if lam > 0.0:
-                    jumping = np.flatnonzero(t_jump <= t + dt_i)
-                    dt_i[jumping] = t_jump[jumping] - t[jumping]
-                # diffusion to the segment end (pre-jump position when
-                # jumping): x + zeta dt + sigma sqrt(dt) z
-                x_new = zeta * dt_i
-                x_new += x
-                dx = np.sqrt(dt_i)
-                dx *= sigma
-                dx *= rng_n.standard_normal(x.size)
-                x_new += dx
-                # trapezoid d + 0.5 (w + w_new) dt, omega carried from the step start
-                w_new = level(x_new)
-                d_new = w + w_new
-                d_new *= 0.5
-                d_new *= dt_i
-                d_new += d
-                t_new = t + dt_i
-                at_horizon = t_new >= t_max - 1e-15
-                # endpoint checks at the pre-jump position
-                if has_l:
-                    passed_dn = (x > log_u) & (x_new < log_l)
-                    passed_up = (x < log_l) & (x_new > log_u)
-                    stopping = (x_new >= log_l) & (x_new <= log_u)
-                    stopping |= passed_dn
-                    stopping |= passed_up
-                else:
-                    stopping = x_new <= log_u
+                if clocked:
+                    # a clock event on a live path: its weight takes the factor
+                    # 1 - (omega(S) - lo) / c; roulette keeps a weight below
+                    # _W_MIN with probability |weight| / _W_MIN, raised to
+                    # _W_MIN in size, and stops the others with weight 0
+                    ev = np.flatnonzero(clocking & ~stopping)
+                    w_ev = wt[ev] * (1.0 - (omega_fn(np.exp(x_new[ev])) - lo[ev]) / rate[ev])
+                    small = np.flatnonzero(np.abs(w_ev) < _W_MIN)
+                    kept = rng_c.random(small.size) * _W_MIN < np.abs(w_ev[small])
+                    w_ev[small] = np.where(kept, np.copysign(_W_MIN, w_ev[small]), 0.0)
+                    wt[ev] = w_ev
+                    stopping[ev[small[~kept]]] = True
             if lam > 0.0 and jumping.size:
                 jj = jumping[~stopping[jumping]]
                 if jj.size:
@@ -289,11 +283,14 @@ def _engine(zeta: float, sigma: float, lam: float, phi: float, jumps_up: bool,
             censored[path[ending & ~stopping]] = True
             # stopping price: the entry point, or the barrier a step passed
             sp = np.exp(x_new[stopping])
-            if bridge or (has_l and sigma > 0.0):
+            if sigma > 0.0:
                 sp = np.where(passed_dn[stopping], u,
                               np.where(passed_up[stopping], l, sp))
             payoffs[path[stopping]] = np.minimum(payoff_fn(sp), payoff_cap)
             live = ~ending
+            if clocked:
+                wt_at_stop[path[ending]] = wt[ending]
+                wt = wt[live]
             x, t, d = x_new[live], t_new[live], d_new[live]
             w = w_new[live] if w_new is not None else None
             path = path[live]
@@ -301,6 +298,8 @@ def _engine(zeta: float, sigma: float, lam: float, phi: float, jumps_up: bool,
                 t_jump = t_jump[live]
     with np.errstate(over="ignore", under="ignore"):
         dfac = np.exp(-np.clip(disc_at_stop, -700.0, 700.0))
+    if clocked:
+        dfac *= wt_at_stop
     vals = np.where(censored, 0.0, dfac * payoffs)
     cmass = float(np.mean(np.where(censored, dfac, 0.0))) * payoff_cap
     mean = float(np.mean(vals))
@@ -310,22 +309,21 @@ def _engine(zeta: float, sigma: float, lam: float, phi: float, jumps_up: bool,
 
 
 def stopped_value(model: LevyModel, omega: DiscountFn, strike: float,
-                  b: Boundaries, s0: float, n_paths: int, dt: float,
+                  b: Boundaries, s0: float, n_paths: int, dt: Optional[float] = None,
                   t_max: Optional[float] = None, seed: int = 0) -> McEstimate:
     """MC estimate of the put value stopped on first entry into [l, u].
 
-    dt is the base step of a sigma > 0 model with a non-constant rate.  It
-    is unused at sigma = 0 and for a constant rate, where every path steps
-    from event to event exactly.
+    Every path steps from event to event exactly, so no step size enters;
+    dt is not read, and its slot stays for callers that pass t_max after it
+    by position.
     """
     if t_max is None:
         t_max = default_t_max(omega, strike)
     payoff = lambda s: np.maximum(strike - s, 0.0)
     flat_rate = omega.r if omega.kind == "constant" else None
     return _engine(model.zeta, model.sigma, model.lam, model.phi, False,
-                   omega, omega.log_antiderivative, payoff, b.l, b.u, s0,
-                   n_paths, dt, t_max, seed, payoff_cap=strike,
-                   flat_rate=flat_rate)
+                   omega, omega.log_antiderivative, omega.bounds, payoff, b.l, b.u,
+                   s0, n_paths, t_max, seed, payoff_cap=strike, flat_rate=flat_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +423,7 @@ def bermudan_value_at(result: dict, spots) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def symmetry_check(problem: PricingProblem, s: float, b: Boundaries,
-                   n_paths: int, dt: float, t_max: float,
-                   seed: int = 0) -> tuple:
+                   n_paths: int, t_max: float, seed: int = 0) -> tuple:
     """MC estimates of both sides of the put-call symmetry identity.
 
     Left: the call under the original spectrally negative model, stopped on
@@ -446,20 +443,23 @@ def symmetry_check(problem: PricingProblem, s: float, b: Boundaries,
     K = problem.strike
     payoff_call = lambda sv: np.maximum(sv - K, 0.0)
     cap = max((b.l if s < b.l else b.u) - K, 0.0)
-    omega_int = problem.omega.log_antiderivative
-    flat_rate = problem.omega.r if problem.omega.kind == "constant" else None
+    omega = problem.omega
+    flat_rate = omega.r if omega.kind == "constant" else None
     lhs = _engine(model.zeta, model.sigma, model.lam, model.phi, False,
-                  problem.omega, omega_int, payoff_call, b.l, b.u, s, n_paths,
-                  dt, t_max, seed, payoff_cap=cap, flat_rate=flat_rate)
+                  omega, omega.log_antiderivative, omega.bounds, payoff_call,
+                  b.l, b.u, s, n_paths, t_max, seed, payoff_cap=cap,
+                  flat_rate=flat_rate)
     spec = putcall_transform(problem, s, b)
     payoff_put = lambda sv: np.maximum(spec.strike - sv, 0.0)
     u_eff = spec.u if math.isfinite(spec.u) else 1e12
-    # the dual rate omega(sK e^{-v}) - psi(1) integrates to -A(log(sK) - v) - psi(1) v
-    log_sk = math.log(s * K)
-    dual_int = lambda v: -omega_int(log_sk - v) - spec.psi1 * v
+    # the dual rate omega(sK e^{-v}) - psi(1) integrates to -A(log(sK) - v) - psi(1) v,
+    # and s -> sK/s maps a window [a, b] onto [sK/b, sK/a]
+    sk = s * K
+    dual_int = lambda v: -omega.log_antiderivative(math.log(sk) - v) - spec.psi1 * v
+    dual_bounds = lambda a, b: tuple(v - spec.psi1 for v in omega.bounds(sk / b, sk / a))
     rhs = _engine(spec.drift, spec.sigma, spec.jump_rate, spec.jump_decay,
-                  spec.jumps_up, spec.discount, dual_int, payoff_put, spec.l,
-                  u_eff, spec.spot, n_paths, dt, t_max, seed + 1,
+                  spec.jumps_up, spec.discount, dual_int, dual_bounds, payoff_put,
+                  spec.l, u_eff, spec.spot, n_paths, t_max, seed + 1,
                   payoff_cap=spec.strike,
                   flat_rate=None if flat_rate is None else flat_rate - spec.psi1)
     return lhs, rhs

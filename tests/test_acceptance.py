@@ -169,13 +169,13 @@ def test_criterion_5_mc_agreement(crash_linear_result, classical_result,
     # (a) linear-discount crash model
     va = float(crash_linear_result.value_fn(np.array([s0]))[0])
     ea = stopped_value(crash_model, Linear(0.1), K, crash_linear_result.boundaries,
-                       s0, 200_000, 1e-3, t_max=60.0, seed=101)
+                       s0, 200_000, t_max=60.0, seed=101)
     gap_a = abs(ea.mean - va)
     ok_a = gap_a < 3.0 * ea.stderr and gap_a / va < 0.01
     # (b) classical collapse
     vb = float(classical_result.value_fn(np.array([s0]))[0])
     eb = stopped_value(bs_model, Constant(0.05), K, classical_result.boundaries,
-                       s0, 200_000, 2e-3, t_max=120.0, seed=102)
+                       s0, 200_000, t_max=120.0, seed=102)
     gap_b = abs(eb.mean - vb)
     ok_b = gap_b < 3.0 * eb.stderr and gap_b / vb < 0.01
     wall = time.perf_counter() - t0
@@ -254,7 +254,7 @@ def test_criterion_9_put_call_symmetry():
         pb = PricingProblem(model, Constant(level), strike, "call")
         m = max(s0, strike)
         lhs, rhs = symmetry_check(pb, s0, Boundaries(1.35 * m, 2.4 * m),
-                                  30_000, 2e-3, default_t_max(pb.omega, strike),
+                                  30_000, default_t_max(pb.omega, strike),
                                   seed=300 + i)
         comb = math.hypot(lhs.stderr, rhs.stderr)
         dev = abs(lhs.mean - rhs.mean) / comb

@@ -96,6 +96,15 @@ def test_unknown_key_rejected(tmp_path):
                  "--quiet"]) == EXIT_CONFIG
 
 
+def test_dt_key_rejected(tmp_path, capsys):
+    # every Monte Carlo path steps from event to event, so no step size is read
+    cfg_file = tmp_path / "dt.ini"
+    cfg_file.write_text("[task]\ntask = boundaries\n[numerics]\ndt = 1e-3\n")
+    assert main(["--preset", "crash_linear", "--config", str(cfg_file),
+                 "--out-dir", str(tmp_path / "o"), "--quiet"]) == EXIT_CONFIG
+    assert "unknown key 'dt'" in capsys.readouterr().err
+
+
 def test_unknown_section_rejected(tmp_path):
     cfg_file = tmp_path / "bad2.ini"
     cfg_file.write_text("[nonsense]\nx = 1\n")

@@ -149,3 +149,34 @@ def test_tabulated_antiderivative_rejects_outside_hull():
     for v in (np.log(0.4), np.log(11.0), np.array([0.0, np.log(12.0)])):
         with pytest.raises(ValueError):
             fn.log_antiderivative(v)
+
+
+@pytest.mark.parametrize("case", sorted(ANTIDERIVATIVE_CASES) + ["tabulated_peaks"])
+def test_bounds_match_dense_sample(case):
+    """bounds(s_lo, s_hi) bracket omega on each of 200 random windows and meet
+    the min and max of a dense sample of it, up to the sample's spacing (the
+    peaks case has its extremes at interior knots)."""
+    if case == "tabulated_peaks":
+        fn = Tabulated((0.5, 2.0, 3.0, 10.0), (0.04, 0.01, 0.08, 0.02))
+        lo, hi = np.log(0.5), np.log(10.0)
+    else:
+        fn, (lo, hi), _ = ANTIDERIVATIVE_CASES[case]
+    ends = np.sort(np.random.default_rng(3).uniform(lo, hi, (200, 2)), axis=1)
+    got_lo, got_hi = fn.bounds(np.exp(ends[:, 0]), np.exp(ends[:, 1]))
+    for (a, b), g_lo, g_hi in zip(ends, got_lo, got_hi):
+        w = np.asarray(fn(np.exp(np.linspace(a, b, 20_001))))
+        assert g_lo <= w.min() + 1e-15 and g_hi >= w.max() - 1e-15
+        assert g_lo == pytest.approx(w.min(), abs=1e-4)
+        assert g_hi == pytest.approx(w.max(), abs=1e-4)
+
+
+def test_tabulated_bounds_clip_to_hull():
+    """A window reaching past the knot hull is clipped to it, while omega read
+    outside the hull still raises."""
+    fn = Tabulated((0.5, 2.0, 10.0), (0.01, 0.03, 0.06))
+    got = fn.bounds(np.array([0.3, 5.0, 20.0, 0.1]), np.array([1.0, 20.0, 30.0, 50.0]))
+    assert np.allclose(got[0], [0.01, fn(5.0), 0.06, 0.01], rtol=0.0, atol=1e-15)
+    assert np.allclose(got[1], [fn(1.0), 0.06, 0.06, 0.06], rtol=0.0, atol=1e-15)
+    for s in (0.3, 20.0):
+        with pytest.raises(ValueError):
+            fn(s)

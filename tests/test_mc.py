@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from omega_pricer import Constant, LevyModel, Linear, Step
+from omega_pricer import Constant, LevyModel, Linear, LogArea, Step
 from omega_pricer.levy import laplace_exponent
 from omega_pricer.pricer import Boundaries, PricingProblem, optimize_boundaries, value_jump
 from omega_pricer.mc import (
@@ -36,7 +36,7 @@ def test_exponential_moment(crash_model_sigma):
 
 def test_stopped_value_immediate(bs_model):
     est = stopped_value(bs_model, Constant(0.05), 20.0, Boundaries(0.0, 14.0),
-                        10.0, 1000, 1e-2, t_max=10.0, seed=0)
+                        10.0, 1000, t_max=10.0, seed=0)
     assert est.mean == 20.0 - 10.0
     assert est.stderr == 0.0
 
@@ -45,7 +45,7 @@ def test_stopped_value_bs_classical(bs_model):
     gamma = 2.5
     u = 20.0 * gamma / (1 + gamma)
     est = stopped_value(bs_model, Constant(0.05), 20.0, Boundaries(0.0, u),
-                        15.0, 60_000, 2e-3, t_max=120.0, seed=3)
+                        15.0, 60_000, t_max=120.0, seed=3)
     ref = (20.0 - u) * (15.0 / u) ** (-gamma)
     assert abs(est.mean - ref) < 3.0 * est.stderr
     assert abs(est.mean - ref) / ref < 0.01
@@ -59,26 +59,13 @@ def test_default_t_max_rule():
         default_t_max(Linear(0.1), 20.0)  # infimum is zero
 
 
-def test_dt_refinement(bs_model):
-    """Halving dt moves the estimate by at most max(2 combined se, O(dt)) for
-    a rate that still steps on a grid (0.07 below s = 20, 0.05 above)."""
-    gamma = 2.5
-    u = 20.0 * gamma / (1 + gamma)
-    fn = Step(0.05, 0.02, 20.0)
-    kw = dict(n_paths=20_000, t_max=60.0, seed=10)
-    e1 = stopped_value(bs_model, fn, 20.0, Boundaries(0.0, u), 15.0, dt=4e-3, **kw)
-    e2 = stopped_value(bs_model, fn, 20.0, Boundaries(0.0, u), 15.0, dt=2e-3, **kw)
-    tol = max(2.0 * math.hypot(e1.stderr, e2.stderr), 0.5 * 4e-3 * 20.0)
-    assert abs(e1.mean - e2.mean) < tol
-
-
 def test_stopped_value_crash_vs_analytic(crash_model):
     pb = PricingProblem(crash_model, Linear(0.1), 20.0)
     res = optimize_boundaries(pb, n_curve=64)
     s0 = 15.0
     analytic = float(res.value_fn(np.array([s0]))[0])
     est = stopped_value(crash_model, Linear(0.1), 20.0, res.boundaries, s0,
-                        50_000, 1e-3, t_max=60.0, seed=4)
+                        50_000, t_max=60.0, seed=4)
     assert abs(est.mean - analytic) < 3.0 * est.stderr
     assert abs(est.mean - analytic) / analytic < 0.01
 
@@ -90,9 +77,41 @@ def test_stopped_value_sigma_pos_step_vs_analytic(crash_model_sigma):
     s0 = 15.0
     analytic = float(res.value_fn(np.array([s0]))[0])
     est = stopped_value(crash_model_sigma, fn, 20.0, res.boundaries, s0,
-                        50_000, 1e-3, t_max=60.0, seed=4)
+                        50_000, t_max=60.0, seed=4)
     assert abs(est.mean - analytic) < 3.0 * est.stderr
     assert abs(est.mean - analytic) / analytic < 0.01
+
+
+@pytest.mark.parametrize("model, fn, s0", [
+    ("crash_model_sigma", Linear(0.1), 30.0),
+    ("crash_model_sigma", Step(0.05, 0.02, 15.0), 15.0),
+    ("crash_model_sigma", Step(0.05, 0.10, 12.0), 15.0),
+    ("bs_model", Linear(0.01), 20.0),
+    ("bs_model", LogArea(20.0), 20.0),
+], ids=["crash-linear", "crash-step-0.02", "crash-step-0.10", "bs-linear", "bs-log-area"])
+def test_clocked_vs_analytic(model, fn, s0, request):
+    """sigma > 0 under a non-constant rate runs the discount clock: at its own
+    optimal interval each contract reads the analytic value within 3 SE."""
+    model = request.getfixturevalue(model)
+    res = optimize_boundaries(PricingProblem(model, fn, 20.0), n_curve=64)
+    analytic = float(res.value_fn(np.array([s0]))[0])
+    est = stopped_value(model, fn, 20.0, res.boundaries, s0, 100_000, t_max=100.0,
+                        seed=21)
+    assert not est.unreliable
+    assert abs(est.mean - analytic) < 3.0 * est.stderr
+
+
+def test_clock_runs_on_flat_windows(crash_model_sigma):
+    """Where omega is flat on a step's window the clock still runs at c_min:
+    a path that leaves the window during its step meets the rate step at
+    s = 12, where omega jumps by 1.0.  With no clock on flat windows this
+    reads about 5 SE low."""
+    fn = Step(0.05, 1.0, 12.0)
+    b = Boundaries(0.0, 3.0)
+    analytic = value_jump(PricingProblem(crash_model_sigma, fn, 20.0), b, 15.0)
+    est = stopped_value(crash_model_sigma, fn, 20.0, b, 15.0, 300_000, t_max=100.0,
+                        seed=40)
+    assert abs(est.mean - analytic) < 3.0 * est.stderr
 
 
 @pytest.mark.parametrize("s0", [1.5, 4.5])
@@ -105,7 +124,7 @@ def test_stopped_value_two_sided_vs_analytic(s0):
     fn = Step(-0.02, 0.12, 1.0, "above")
     b = Boundaries(3.0, 4.0)
     analytic = value_jump(PricingProblem(model, fn, 20.0), b, s0)
-    est = stopped_value(model, fn, 20.0, b, s0, 100_000, 1e-2, t_max=100.0, seed=5)
+    est = stopped_value(model, fn, 20.0, b, s0, 100_000, t_max=100.0, seed=5)
     assert not est.unreliable
     assert abs(est.mean - analytic) < 4.0 * est.stderr
 
@@ -121,8 +140,8 @@ def test_stopped_value_two_sided_sigma_pos_vs_analytic(s0):
     fn = Step(-0.02, 0.12, 1.0, "above")
     res = optimize_boundaries(PricingProblem(model, fn, 20.0), n_curve=64)
     analytic = float(res.value_fn(np.array([s0]))[0])
-    est = stopped_value(model, fn, 20.0, res.boundaries, s0, 50_000, 1e-2,
-                        t_max=100.0, seed=5)
+    est = stopped_value(model, fn, 20.0, res.boundaries, s0, 50_000, t_max=100.0,
+                        seed=5)
     assert not est.unreliable
     assert abs(est.mean - analytic) < 3.0 * est.stderr
     assert est.stderr < 0.01 * analytic
@@ -135,12 +154,13 @@ def test_stopped_value_two_sided_sigma_pos_vs_analytic(s0):
 # constant-rate sigma > 0 paths began to step from event to event with
 # Brownian-bridge crossings; the symmetry call side's truncation mass when
 # its payoff cap became the edge the path meets, l - K = 8 from below, not
-# u - K = 35)
+# u - K = 35; jump_step when non-constant sigma > 0 rates moved from a step
+# grid to the discount clock)
 PINNED = {
     "crash_linear": (6.246430095417811, 0.06542097263250458, 0.0, 0.0),
     "bs_constant": (5.02815214912052, 0.026977328366925304, 0.1028,
                     0.005096314475226033),
-    "jump_step": (11.21575766219304, 0.042376382912684266, 0.0, 0.0),
+    "jump_step": (11.164650954590819, 0.04195065896986197, 0.0, 0.0),
     "symmetry": ((5.685784456261715, 0.04914128556415137, 0.271, 1.6060939024379646),
                  (5.639960244079621, 0.0075323999049838435, 0.0088,
                   0.1674163787121255)),
@@ -151,19 +171,18 @@ PINNED = {
 def test_engine_pinned_estimates(case, crash_model, crash_model_sigma, bs_model):
     if case == "crash_linear":
         ests = [stopped_value(crash_model, Linear(0.1), 20.0, Boundaries(0.0, 12.0),
-                              15.0, 5000, 1e-3, t_max=60.0, seed=31)]
+                              15.0, 5000, t_max=60.0, seed=31)]
     elif case == "bs_constant":
         ests = [stopped_value(bs_model, Constant(0.05), 20.0, Boundaries(0.0, 14.0),
-                              15.0, 5000, 2e-3, t_max=120.0, seed=32)]
+                              15.0, 5000, t_max=120.0, seed=32)]
     elif case == "jump_step":
         ests = [stopped_value(crash_model_sigma, Step(0.05, 0.10, 12.0), 20.0,
-                              Boundaries(0.0, 12.5), 15.0, 5000, 1e-3, t_max=60.0,
+                              Boundaries(0.0, 12.5), 15.0, 5000, t_max=60.0,
                               seed=33)]
     else:
         # sigma = 0 call stopped on [28, 55]; the dual put has upward jumps
         pb = PricingProblem(crash_model, Constant(0.06), 20.0, "call")
-        ests = symmetry_check(pb, 20.0, Boundaries(28.0, 55.0), 5000, 2e-3, 5.0,
-                              seed=34)
+        ests = symmetry_check(pb, 20.0, Boundaries(28.0, 55.0), 5000, 5.0, seed=34)
     pinned = PINNED[case] if case == "symmetry" else (PINNED[case],)
     assert len(ests) == len(pinned)
     for est, want in zip(ests, pinned):
@@ -172,34 +191,39 @@ def test_engine_pinned_estimates(case, crash_model, crash_model_sigma, bs_model)
 
 
 def test_path_steps_count(bs_model):
-    # a constant rate takes one step per path to t_max = 1; a rate read on the
-    # step grid takes 8, since dt = 1/8 leaves no room to stretch; no path
-    # reaches u = 1 from 15
+    # a constant rate takes one step per path to t_max = 1; a clocked rate
+    # takes six steps capped at (0.25 / (3 sigma))^2 = 0.174, plus the clock
+    # events (rate c_min = 0.05 here) that end a step early and add a step in
+    # about three cases of four; no path reaches u = 1 from 15
     est = stopped_value(bs_model, Constant(0.05), 20.0, Boundaries(0.0, 1.0),
-                        15.0, 1000, 0.125, t_max=1.0, seed=8)
+                        15.0, 1000, t_max=1.0, seed=8)
     assert est.censored_fraction == 1.0
     assert est.path_steps == 1000
     est = stopped_value(bs_model, Linear(0.001), 20.0, Boundaries(0.0, 1.0),
-                        15.0, 1000, 0.125, t_max=1.0, seed=8)
+                        15.0, 1000, t_max=1.0, seed=8)
     assert est.censored_fraction == 1.0
-    assert est.path_steps == 8 * 1000
+    assert est.path_steps == 6 * 1000 + 28
     now = stopped_value(bs_model, Constant(0.05), 20.0, Boundaries(0.0, 16.0),
-                        15.0, 1000, 0.125, t_max=1.0, seed=8)
+                        15.0, 1000, t_max=1.0, seed=8)
     assert now.path_steps == 0
+
+
+def _assert_ignores_dt(cases):
+    for model, fn, b, s0 in cases:
+        kw = dict(n_paths=5000, t_max=60.0, seed=31)
+        fine = stopped_value(model, fn, 20.0, b, s0, dt=1e-3, **kw)
+        coarse = stopped_value(model, fn, 20.0, b, s0, dt=1e-2, **kw)
+        assert fine == coarse == stopped_value(model, fn, 20.0, b, s0, **kw)
+        assert fine.mean > 0.0
 
 
 def test_sigma0_estimate_ignores_dt(crash_model):
     """sigma = 0 paths step from event to event with the discount integrated
     in closed form, so dt has no effect, one-sided or two-sided."""
     two_sided = LevyModel.calibrated(r=0.30, sigma=0.0, lam=0.5, phi=3.0)
-    cases = ((crash_model, Linear(0.1), Boundaries(0.0, 12.0), 15.0),
-             (two_sided, Step(-0.02, 0.12, 1.0, "above"), Boundaries(3.0, 4.0), 1.5))
-    for model, fn, b, s0 in cases:
-        kw = dict(n_paths=5000, t_max=60.0, seed=31)
-        fine = stopped_value(model, fn, 20.0, b, s0, dt=1e-3, **kw)
-        coarse = stopped_value(model, fn, 20.0, b, s0, dt=1e-2, **kw)
-        assert fine == coarse
-        assert fine.mean > 0.0
+    _assert_ignores_dt(((crash_model, Linear(0.1), Boundaries(0.0, 12.0), 15.0),
+                        (two_sided, Step(-0.02, 0.12, 1.0, "above"),
+                         Boundaries(3.0, 4.0), 1.5)))
 
 
 def test_flat_rate_estimate_ignores_dt(bs_model, crash_model_sigma):
@@ -207,15 +231,15 @@ def test_flat_rate_estimate_ignores_dt(bs_model, crash_model_sigma):
     bridge crossings, so dt has no effect: diffusion only, with jumps, and
     two-sided from below l."""
     two_sided = LevyModel.calibrated(r=0.30, sigma=0.2, lam=0.5, phi=3.0)
-    cases = ((bs_model, Boundaries(0.0, 14.0), 15.0),
-             (crash_model_sigma, Boundaries(0.0, 12.0), 15.0),
-             (two_sided, Boundaries(3.0, 4.0), 1.5))
-    for model, b, s0 in cases:
-        kw = dict(n_paths=5000, t_max=60.0, seed=31)
-        fine = stopped_value(model, Constant(0.05), 20.0, b, s0, dt=1e-3, **kw)
-        coarse = stopped_value(model, Constant(0.05), 20.0, b, s0, dt=1e-2, **kw)
-        assert fine == coarse
-        assert fine.mean > 0.0
+    _assert_ignores_dt(((bs_model, Constant(0.05), Boundaries(0.0, 14.0), 15.0),
+                        (crash_model_sigma, Constant(0.05), Boundaries(0.0, 12.0), 15.0),
+                        (two_sided, Constant(0.05), Boundaries(3.0, 4.0), 1.5)))
+
+
+def test_clocked_estimate_ignores_dt(crash_model_sigma):
+    """sigma > 0 paths under a varying rate step between clock events, so
+    dt has no effect there either."""
+    _assert_ignores_dt(((crash_model_sigma, Linear(0.1), Boundaries(0.0, 12.0), 15.0),))
 
 
 def test_stopped_value_crash_sigma_constant_vs_analytic(crash_model_sigma):
@@ -227,7 +251,7 @@ def test_stopped_value_crash_sigma_constant_vs_analytic(crash_model_sigma):
     analytic = float(res.value_fn(np.array([15.0]))[0])
     assert analytic == pytest.approx(16.61333, abs=1e-5)
     est = stopped_value(crash_model_sigma, Constant(0.05), 20.0, res.boundaries,
-                        15.0, 50_000, 1e-3, seed=11)
+                        15.0, 50_000, seed=11)
     assert not est.unreliable
     assert abs(est.mean - analytic) < 3.0 * est.stderr
 
@@ -237,7 +261,7 @@ def test_sigma0_steps_per_path(crash_model):
     # base step with stretching took about 190
     n = 20_000
     est = stopped_value(crash_model, Linear(0.1), 20.0, Boundaries(0.0, 12.0888925),
-                        15.0, n, 1e-3, t_max=60.0, seed=12)
+                        15.0, n, t_max=60.0, seed=12)
     assert est.path_steps < 10 * n
 
 
@@ -251,7 +275,7 @@ def test_sigma0_no_drift_closed_form():
     q = model.lam / (model.lam + r)
     a = math.log(s0 / u)
     ref = q * math.exp(-model.phi * a * (1.0 - q)) * (K - u * model.phi / (model.phi + 1.0))
-    est = stopped_value(model, Constant(r), K, Boundaries(0.0, u), s0, 50_000, 1e-3,
+    est = stopped_value(model, Constant(r), K, Boundaries(0.0, u), s0, 50_000,
                         t_max=60.0, seed=13)
     assert abs(est.mean - ref) < 3.0 * est.stderr
     assert est.censored_fraction == 0.0
@@ -264,11 +288,11 @@ def test_engine_plain_omega_function(sigma):
     it) gives the same estimate bit for bit."""
     model = LevyModel.calibrated(r=0.05, sigma=sigma, lam=6.0, phi=2.0)
     fn = Linear(0.1)
-    ref = stopped_value(model, fn, 20.0, Boundaries(0.0, 12.0), 15.0, 2000, 1e-3,
+    ref = stopped_value(model, fn, 20.0, Boundaries(0.0, 12.0), 15.0, 2000,
                         t_max=60.0, seed=7)
     got = _engine(model.zeta, model.sigma, model.lam, model.phi, False,
-                  lambda s: fn(s), fn.log_antiderivative,
-                  lambda s: np.maximum(20.0 - s, 0.0), 0.0, 12.0, 15.0, 2000, 1e-3,
+                  lambda s: fn(s), fn.log_antiderivative, fn.bounds,
+                  lambda s: np.maximum(20.0 - s, 0.0), 0.0, 12.0, 15.0, 2000,
                   60.0, 7, payoff_cap=20.0)
     assert got == ref
 
@@ -276,7 +300,7 @@ def test_engine_plain_omega_function(sigma):
 def test_truncation_mass_reported(bs_model):
     # absurdly short horizon censors everything; the estimate must say so
     est = stopped_value(bs_model, Constant(0.05), 20.0, Boundaries(0.0, 10.0),
-                        19.0, 2000, 1e-2, t_max=0.05, seed=6)
+                        19.0, 2000, t_max=0.05, seed=6)
     assert est.censored_fraction > 0.99
     assert est.unreliable
 
@@ -351,7 +375,7 @@ def test_symmetry_bs_two_sides_agree(bs_model):
     ref = _bs_call_from_below(0.05, 0.2, omega, K, s, l)
     assert ref == pytest.approx(4.17086, abs=1e-5)
     pb = PricingProblem(bs_model, Constant(omega), K, "call")
-    lhs, rhs = symmetry_check(pb, s, Boundaries(l, 50.0), 30_000, 2e-3,
+    lhs, rhs = symmetry_check(pb, s, Boundaries(l, 50.0), 30_000,
                               default_t_max(pb.omega, K), seed=9)
     comb = math.hypot(lhs.stderr, rhs.stderr)
     assert abs(lhs.mean - rhs.mean) < 3.0 * comb
@@ -368,7 +392,7 @@ def test_symmetry_one_sided_call_region(bs_model):
     omega, K, s, l = 0.08, 20.0, 20.0, 26.0
     ref = _bs_call_from_below(0.05, 0.2, omega, K, s, l)
     pb = PricingProblem(bs_model, Constant(omega), K, "call")
-    ests = symmetry_check(pb, s, Boundaries(l, math.inf), 5000, 2e-3,
+    ests = symmetry_check(pb, s, Boundaries(l, math.inf), 5000,
                           default_t_max(pb.omega, K), seed=3)
     for est in ests:
         assert math.isfinite(est.truncation_mass)
@@ -378,19 +402,24 @@ def test_symmetry_one_sided_call_region(bs_model):
 
 def test_symmetry_jump_two_sides_agree(crash_model_sigma):
     pb = PricingProblem(crash_model_sigma, Constant(0.06), 20.0, "call")
-    lhs, rhs = symmetry_check(pb, 20.0, Boundaries(28.0, 55.0), 30_000, 2e-3,
+    lhs, rhs = symmetry_check(pb, 20.0, Boundaries(28.0, 55.0), 30_000,
                               default_t_max(pb.omega, 20.0), seed=9)
     comb = math.hypot(lhs.stderr, rhs.stderr)
     assert abs(lhs.mean - rhs.mean) < 3.0 * comb
     assert not lhs.unreliable and not rhs.unreliable
 
 
-def test_symmetry_sigma0_two_sides_agree(crash_model):
-    # a rate step at s = 10 that paths of both sides cross: the dual side
-    # integrates the transformed rate through its own antiderivative
-    pb = PricingProblem(crash_model, Step(0.06, 0.03, 10.0), 20.0, "call")
-    lhs, rhs = symmetry_check(pb, 20.0, Boundaries(28.0, 55.0), 30_000, 2e-3,
-                              60.0, seed=9)
+@pytest.mark.parametrize("model, fn", [
+    ("crash_model", Step(0.06, 0.03, 10.0)),
+    ("crash_model_sigma", Step(0.06, 0.03, 10.0)),
+    ("bs_model", Step(0.08, 0.04, 24.0)),
+], ids=["crash-sigma0", "crash-sigma0.2", "bs"])
+def test_symmetry_step_rate_two_sides_agree(model, fn, request):
+    # a rate step that paths of both sides cross: at sigma = 0 the dual side
+    # integrates the transformed rate through its own antiderivative, at
+    # sigma > 0 it runs the clock on the transformed bounds
+    pb = PricingProblem(request.getfixturevalue(model), fn, 20.0, "call")
+    lhs, rhs = symmetry_check(pb, 20.0, Boundaries(28.0, 55.0), 30_000, 60.0, seed=9)
     comb = math.hypot(lhs.stderr, rhs.stderr)
     assert abs(lhs.mean - rhs.mean) < 3.0 * comb
     assert not lhs.unreliable and not rhs.unreliable
@@ -399,8 +428,7 @@ def test_symmetry_sigma0_two_sides_agree(crash_model):
 def test_symmetry_degenerate_point_interval(bs_model):
     # l = u = K: the touch payoff (S-K)^+ at S = K is worthless
     pb = PricingProblem(bs_model, Constant(0.08), 20.0, "call")
-    lhs, rhs = symmetry_check(pb, 18.0, Boundaries(20.0, 20.0), 2000, 5e-3,
-                              5.0, seed=9)
+    lhs, rhs = symmetry_check(pb, 18.0, Boundaries(20.0, 20.0), 2000, 5.0, seed=9)
     assert abs(lhs.mean) < 1e-9
     assert abs(rhs.mean) < 1e-9
 
@@ -408,4 +436,4 @@ def test_symmetry_degenerate_point_interval(bs_model):
 def test_symmetry_rejects_put(bs_model):
     pb = PricingProblem(bs_model, Constant(0.08), 20.0, "put")
     with pytest.raises(ValueError):
-        symmetry_check(pb, 20.0, Boundaries(26.0, 50.0), 100, 1e-2, 1.0)
+        symmetry_check(pb, 20.0, Boundaries(26.0, 50.0), 100, 1.0)
