@@ -99,8 +99,8 @@ class PricingResult:
     values: np.ndarray
     fit: dict
     diagnostics: dict
-    value_fn: Optional[Callable] = field(default=None, repr=False)
-    value_deriv_fn: Optional[Callable] = field(default=None, repr=False)
+    value_fn: Callable = field(repr=False)
+    value_deriv_fn: Callable = field(repr=False)
 
     @property
     def l_star(self) -> float:
@@ -353,8 +353,9 @@ class _JumpValuation:
         self._upward = None
 
     def _upward_passage(self) -> tuple:
-        """(Phi(c), ups, top of the H range, dense H state), built on the first
-        call; raises ValueError when omega is not constant on (0, 1]."""
+        """(Phi(c), flat level c, roots of psi - c, top of the H range, dense H
+        state), built on the first call; raises ValueError when omega is not
+        constant on (0, 1]."""
         if self._upward is None:
             model, omega = self.problem.model, self.problem.omega
             flat = check_flat_below_one(omega)
@@ -365,50 +366,64 @@ class _JumpValuation:
             y_top = max(math.log(2.2 * self.problem.strike), 0.0)
             sol = forward_state(dec, lambda y: float(omega(math.exp(y))) - flat,
                                 y_top, i, model.phi)
-            self._upward = (dec.gammas[i], np.asarray(dec.upsilons), y_top, sol)
+            self._upward = (dec.gammas[i], flat, dec, y_top, sol)
         return self._upward
 
-    def _forward(self, y):
-        """(H, int_0^y H(w) e^{phi w} dw) at 0 <= y <= log(2.2 K)."""
-        _, ups, y_top, sol = self._upward_passage()
+    def _forward(self, y, slope: bool = False):
+        """(H, int_0^y H(w) e^{phi w} dw) at 0 <= y <= log(2.2 K), with dH/dy in
+        place of H when slope is set: H' = (ups gamma) . P + (omega - c) W(0) H,
+        the jet of RecessiveBasis.basis for the rates of psi - c."""
+        _, flat, dec, y_top, sol = self._upward_passage()
         if np.any(y > y_top + 1e-12):
             raise ValueError(f"log-price above the H range {y_top:.6g}")
         v = sol(y)
-        return ups @ v[:-1], v[-1]
+        ups = np.asarray(dec.upsilons)
+        h = ups @ v[:-1]
+        if slope:
+            rate = np.asarray(self.problem.omega(np.exp(y)), dtype=float) - flat
+            h = (ups * np.asarray(dec.gammas)) @ v[:-1] + rate * ups.sum() * h
+        return h, v[-1]
 
-    def _coef(self, u: float, f0: float, gbar: float) -> tuple:
+    def _coef(self, u, f0, gbar) -> tuple:
         """Basis at log u and coefficients of the recessive F with, at s = u+,
         sigma^2/2 F'' + zeta F' - (lam + omega(u)) F + lam gbar = 0 and, when
-        sigma > 0, F = f0 (gbar: mean of F over the jump landing below u)."""
+        sigma > 0, F = f0 (gbar: mean of F over the jump landing below u).
+        For arrays u, f0, gbar (one entry per barrier) the bases and
+        coefficients are stacked on a leading axis: one basis read, one
+        batched solve."""
         model = self.problem.model
-        basis = self.core.basis(math.log(u))
-        gen = np.array([-(model.lam + float(self.problem.omega(u))), model.zeta,
-                        0.5 * model.sigma ** 2])[:self.core.order]
-        rows, rhs = [gen @ basis], [-model.lam * gbar]
+        basis = self.core.basis(np.log(u))
+        rate = np.asarray(self.problem.omega(u), dtype=float)
+        gen = np.stack(np.broadcast_arrays(-(model.lam + rate), model.zeta,
+                                           0.5 * model.sigma ** 2), axis=-1)
+        rows = [(gen[..., None, :self.core.order] @ basis)[..., 0, :]]
+        rhs = [-model.lam * np.asarray(gbar, dtype=float)]
         if model.sigma > 0.0:
-            rows.append(basis[0])
-            rhs.append(f0)
-        return basis, np.linalg.solve(np.array(rows), np.array(rhs))
+            rows.append(basis[..., 0, :])
+            rhs.append(np.asarray(f0, dtype=float))
+        rows, rhs = np.stack(rows, axis=-2), np.stack(np.broadcast_arrays(*rhs), axis=-1)
+        return basis, np.linalg.solve(rows, rhs[..., None])[..., 0]
 
-    def fit_gap(self, u: float, gbar: float) -> float:
+    def fit_gap(self, u, gbar):
         """Fit residual at barrier u: V(u+) - (K - u) for sigma = 0 (continuous
         fit), u (V'(u+) + 1) for sigma > 0 (smooth fit), where gbar is the mean
-        value at the jump landing below u."""
+        value at the jump landing below u; elementwise for arrays u, gbar."""
         K = self.problem.strike
         basis, coef = self._coef(u, K - u, gbar)
         if self.problem.model.sigma == 0.0:
-            return float(basis[0] @ coef) - (K - u)
-        return float(basis[1] @ coef) + u
+            return (basis[..., :1, :] @ coef[..., None])[..., 0, 0] - (K - u)
+        return (basis[..., 1:2, :] @ coef[..., None])[..., 0, 0] + u
 
-    def h_at(self, s) -> np.ndarray:
-        """H at log-price y = log s; exponential where omega is flat."""
+    def h_at(self, s, slope: bool = False) -> np.ndarray:
+        """H at log-price y = log s, or with slope dH/dy; H = e^{Phi(c) y}
+        where omega is flat (y <= 0)."""
         phi_c = self._upward_passage()[0]
         with np.errstate(divide="ignore"):
             y = np.log(np.atleast_1d(np.asarray(s, dtype=float)))
-        out = np.exp(phi_c * np.minimum(y, 0.0))
+        out = np.exp(phi_c * np.minimum(y, 0.0)) * (phi_c if slope else 1.0)
         pos = y > 0.0
         if np.any(pos):
-            out[pos] = self._forward(y[pos])[0]
+            out[pos] = self._forward(y[pos], slope)[0]
         return out
 
     def overshoot_gain(self, l: float) -> float:
@@ -428,18 +443,23 @@ class _JumpValuation:
             i_over_h = (1.0 / (phi_c + phi) + tail) / h_l
         return float(phi * (K - l) * i_over_h - K * l ** phi + phi / (phi + 1.0) * l ** (phi + 1.0))
 
-    def value(self, b: Boundaries, s) -> np.ndarray:
+    def value(self, b: Boundaries, s, slope: bool = False) -> np.ndarray:
+        """V(s) for the stopping interval [l, u], or with slope V'(s) from the
+        jets of H and of the recessive solution (-1 on [l, u])."""
         K = self.problem.strike
         s = np.atleast_1d(np.asarray(s, dtype=float))
-        out = K - s.astype(float)
+        out = np.full_like(s, -1.0) if slope else K - s
         below = s < b.l
         if np.any(below):
-            out[below] = self.h_at(s[below]) / self.h_at(b.l)[0] * (K - b.l)
+            out[below] = self.h_at(s[below], slope) / self.h_at(b.l)[0] * (K - b.l)
         above = s > b.u
         if np.any(above):
             gbar = _overshoot_mean(self.problem, b.u, self.overshoot_gain(b.l))
             coef = self._coef(b.u, K - b.u, gbar)[1]
-            out[above] = self.core.evaluate(math.log(b.u), coef, np.log(s[above]))
+            out[above] = self.core.evaluate(math.log(b.u), coef, np.log(s[above]), slope)
+        if slope:
+            # the jets are derivatives in y = log s
+            out[below | above] /= s[below | above]
         return out
 
 
@@ -463,10 +483,9 @@ def value_jump(problem: PricingProblem, b: Boundaries, s,
 
 
 def _fit_gap(u, valuation: _JumpValuation, gain: float):
-    """valuation.fit_gap at the barrier u (a scalar, or a node array read one
-    node at a time) for the landing mean _overshoot_mean(problem, u, gain)."""
-    if np.ndim(u):
-        return [_fit_gap(x, valuation, gain) for x in u]
+    """valuation.fit_gap at the barrier u for the landing mean
+    _overshoot_mean(problem, u, gain): a scalar (brentq's polish), or the
+    scan's node array read in one pass (one basis read, one batched solve)."""
     return valuation.fit_gap(u, _overshoot_mean(valuation.problem, u, gain))
 
 
@@ -522,12 +541,9 @@ def _jump_boundaries(problem: PricingProblem, valuation: _JumpValuation) -> tupl
 # ---------------------------------------------------------------------------
 
 def smooth_fit_residual(result: PricingResult, problem: PricingProblem) -> dict:
-    """Continuity and one-sided derivative gaps at both boundaries.
-
-    Continuity is evaluated in the limit onto the boundary; the derivative
-    uses the analytic hook when the route provides one, otherwise a
-    Richardson one-sided difference.
-    """
+    """Continuity and one-sided derivative gaps at both boundaries, read in
+    the limit onto each boundary from value_fn and from the route's
+    analytic derivative value_deriv_fn."""
     v = result.value_fn
     dv = result.value_deriv_fn
     K = problem.strike
@@ -539,15 +555,7 @@ def smooth_fit_residual(result: PricingResult, problem: PricingProblem) -> dict:
             continue
         s_eps = bpt * (1.0 + side * 1e-12)
         out[f"continuity_{name}"] = abs(float(np.atleast_1d(v(s_eps))[0]) - (K - bpt))
-        if dv is not None:
-            deriv = float(np.atleast_1d(dv(s_eps))[0])
-        else:
-            h1 = 1e-4 * max(bpt, 1.0)
-            v0 = K - bpt
-            d1 = (float(np.atleast_1d(v(bpt + side * h1))[0]) - v0) / (side * h1)
-            d2 = (float(np.atleast_1d(v(bpt + side * 2 * h1))[0]) - v0) / (side * 2 * h1)
-            deriv = 2.0 * d1 - d2
-        out[f"derivative_gap_{name}"] = abs(deriv - (-1.0))
+        out[f"derivative_gap_{name}"] = abs(float(np.atleast_1d(dv(s_eps))[0]) + 1.0)
     return out
 
 
@@ -723,7 +731,6 @@ def optimize_boundaries(problem: PricingProblem, n_curve: int = 512) -> PricingR
     omega = problem.omega
     K = problem.strike
     diagnostics = {}
-    deriv_fn = None
     s_grid = np.linspace(2.0 * K / n_curve, 2.0 * K, n_curve)
     if model.has_jumps:
         if model.sigma == 0.0 and model.mu <= 0.0:
@@ -731,6 +738,7 @@ def optimize_boundaries(problem: PricingProblem, n_curve: int = 512) -> PricingR
         val = _JumpValuation(problem)
         bounds, diagnostics = _jump_boundaries(problem, val)
         value_fn = lambda s: val.value(bounds, s)
+        deriv_fn = lambda s: val.value(bounds, s, slope=True)
     else:
         # where l* > 0 is possible the value below l is read on the curve and
         # down to 1e-4 K

@@ -19,6 +19,10 @@ library returns comes from that system:
   P = 1, Z from e_i0 / ups_i0 (i0 the zero root) and H, with the roots of
   psi - c, from e_i / ups_i (i the root Phi(c)).  It gives the tables of
   `build_scale_table` and the jump pricer's H for l > 0.
+* Every integration runs through `_dense_solve`: LSODA with dense output,
+  whose step loop runs in compiled code, at rtol 1e-11 for the basis and
+  its forward solutions (a fit root reads them) and 1e-13 for
+  `forward_state` (its tables are read as they are).
 * The tests keep an independent reference for the state system in
   tests/reference_scale.py: the product-integration march of the renewal
   equations, which acceptance criterion 4 compares W and Z against.
@@ -76,27 +80,31 @@ def forward_state(dec: RootDecomposition, rate, x_end: float,
     and a scalar rate(x), started from P = 1 (F = ups . P is then W-type) or,
     given i0, from e_i0 / ups_i0 (F(x) = e^{gamma_i0 x} + ...: Z-type for the
     zero root, H-type for Phi(c) of psi - c).  With phi one more component
-    carries int_0^x F(z) e^{phi z} dz.  Returns scipy's OdeSolution of the
-    stacked state; raises OverflowError when it leaves double range.
+    carries int_0^x F(z) e^{phi z} dz.  Integrated by _dense_solve at
+    _FORWARD_RTOL; returns x -> stacked state at x (an array of x gives one
+    column each), exactly the start state at x = 0, where LSODA's dense
+    output can be an ulp off.
     """
     g = np.asarray(dec.gammas)
     ups = np.asarray(dec.upsilons)
     m = len(g)
     v0 = np.ones(m) if i0 is None else np.eye(m)[i0] / ups[i0]
+    if phi is not None:
+        v0 = np.append(v0, 0.0)
 
     def rhs(x, v):
         f = ups @ v[:m]
         dp = g * v[:m] + rate(x) * f
         return dp if phi is None else np.append(dp, f * math.exp(phi * x))
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        sol = solve_ivp(rhs, (0.0, x_end), v0 if phi is None else np.append(v0, 0.0),
-                        method="DOP853", rtol=1e-12, atol=1e-12, dense_output=True)
-    if not np.all(np.abs(sol.y) < 1e300):  # also catches inf and nan
-        raise OverflowError("renewal state leaves double range; reduce x_max")
-    if not sol.success:
-        raise RuntimeError(f"ODE integration failed: {sol.message}")
-    return sol.sol
+    sol = _dense_solve(rhs, (0.0, x_end), v0, _FORWARD_RTOL, float(g.min()),
+                       "renewal state")
+
+    def state(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x == 0.0, v0.reshape((-1,) + (1,) * x.ndim), sol(x))
+
+    return state
 
 
 # Integration constants of RecessiveBasis, checked by the self-convergence tests
@@ -104,29 +112,34 @@ def forward_state(dec: RootDecomposition, rate, x_end: float,
 # crash curve 1e-8 from its converged value; at 1e-11 it is 7e-10, at no extra cost.
 _CORE_RTOL = 1e-11
 _CORE_MARGIN = 3.0   # start this far above log(s_hi) so the start error decays by then
+# forward_state's tolerance, checked against a tight DOP853 reference in
+# tests/test_scale.py: at 1e-11 the sigma = 0 W drifts 2e-10 from it, at 1e-13
+# every W, Z and H table stays within 2e-11.
+_FORWARD_RTOL = 1e-13
 
 
-def _dense_solve(rhs, span, v0, fast: float):
-    """Dense LSODA solution of v' = rhs(y, v) over span at the core tolerance.
+def _dense_solve(rhs, span, v0, rtol: float, fast: float, system: str):
+    """Dense LSODA solution of v' = rhs(y, v) over span at relative tolerance
+    rtol (absolute 1e-3 rtol); system names what is integrated in the errors.
 
     The caller has read the rate at both ends of the range, so a ValueError
     out of the solver is the solver's own: for sigma near 0 the fast mode of
-    the state system (frozen exponent fast, about -2 zeta / sigma^2) asks for
-    steps in y below the spacing of doubles, and LSODA's dense output gets
-    two equal step times.
+    the state system (exponent fast, about -2 zeta / sigma^2) asks for steps
+    in y below the spacing of doubles, and LSODA's dense output gets two
+    equal step times.
     """
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            sol = solve_ivp(rhs, span, v0, method="LSODA", rtol=_CORE_RTOL,
-                            atol=1e-3 * _CORE_RTOL, dense_output=True)
+            sol = solve_ivp(rhs, span, v0, method="LSODA", rtol=rtol,
+                            atol=1e-3 * rtol, dense_output=True)
     except ValueError as err:
-        raise RuntimeError(f"recessive basis cannot resolve its fast frozen exponent "
+        raise RuntimeError(f"{system} cannot resolve its fast frozen exponent "
                            f"{fast:.3g} in double precision ({err}); "
                            f"price with sigma = 0 or a larger sigma") from err
     if not np.all(np.abs(sol.y) < 1e300):  # also catches inf and nan
-        raise OverflowError("recessive basis leaves double range; narrow [s_lo, s_hi]")
+        raise OverflowError(f"{system} leaves double range; narrow its range")
     if not sol.success:
-        raise RuntimeError(f"recessive basis integration failed near "
+        raise RuntimeError(f"{system} integration failed near "
                            f"s = {math.exp(sol.t[-1]):.4g}: {sol.message}")
     return sol.sol
 
@@ -185,7 +198,7 @@ class RecessiveBasis:
             return (w @ atw) * w - atw
 
         self._normal = _dense_solve(rhs, (y_hi, self.y_lo), w0 / np.linalg.norm(w0),
-                                    self._fast)
+                                    _CORE_RTOL, self._fast, "recessive basis")
         self._forward = (None, None)
 
     def _check(self, y) -> None:
@@ -193,26 +206,30 @@ class RecessiveBasis:
             raise ValueError(f"log-price outside the basis range "
                              f"[{self.y_lo:.6g}, {self.y_top:.6g}]")
 
-    def state(self, y: float) -> np.ndarray:
-        """m x (m-1) orthonormal basis of the recessive states P at y."""
+    def state(self, y) -> np.ndarray:
+        """m x (m-1) orthonormal basis of the recessive states P at y; for an
+        array of y, one such basis per entry, stacked on a leading axis (one
+        read of the normal, one stacked QR)."""
         self._check(y)
-        return np.linalg.qr(self._normal(y).reshape(-1, 1), mode="complete")[0][:, 1:]
+        w = np.moveaxis(self._normal(y), 0, -1)[..., None]
+        return np.linalg.qr(w, mode="complete")[0][..., 1:]
 
-    def basis(self, y: float) -> np.ndarray:
-        """m x (m-1) matrix of (F, F', ...) at y+ for the states of state(y).
+    def basis(self, y) -> np.ndarray:
+        """m x (m-1) matrix of (F, F', ...) at y+ for the states of state(y),
+        stacked like state for an array of y.
 
         F' = (ups gamma) . P + omega W(0) F and, for sigma > 0 where W(0) = 0,
         F'' = (ups gamma^2) . P + omega W'(0+) F, with omega read at e^y (at
         s_lo for y within rounding below the range).
         """
         p = self.state(y)
-        w = float(self.fn(math.exp(max(y, self.y_lo))))
+        w = np.asarray(self.fn(np.exp(np.maximum(y, self.y_lo))), dtype=float)[..., None]
         ug = self.upsilons * self.gammas
         f = self.upsilons @ p
         jet = [f, ug @ p + w * self.upsilons.sum() * f]
         if self.order == 3:
             jet.append((ug * self.gammas) @ p + w * ug.sum() * f)
-        return np.array(jet)
+        return np.stack(jet, axis=-2)
 
     def tail_constant(self, y: float) -> float:
         """c = lim Z/W for the W and Z started at level e^y.
@@ -225,8 +242,9 @@ class RecessiveBasis:
         z_start = np.eye(m)[i0] / self.upsilons[i0]
         return float(np.linalg.solve(np.column_stack([self.state(y), np.ones(m)]), z_start)[-1])
 
-    def evaluate(self, y0: float, coef, ys) -> np.ndarray:
-        """F(ys) at ys >= y0 for the recessive solution F(y0) = basis(y0) @ coef.
+    def evaluate(self, y0: float, coef, ys, slope: bool = False) -> np.ndarray:
+        """F(ys) at ys >= y0 for the recessive solution F(y0) = basis(y0) @ coef,
+        or with slope its derivative F'(ys) in y (the second row of basis).
 
         The states of state(y0) are integrated forward to log(s_hi) once; the
         last y0's solution is kept, so every coef at one level shares it.
@@ -235,8 +253,9 @@ class RecessiveBasis:
         self._check(np.append(ys, y0))
         if np.any(ys < y0 - 1e-12):
             raise ValueError("evaluation points must lie at or above y0")
+        g, ups, m = self.gammas, self.upsilons, self.order
         if self._forward[0] != y0:
-            g, ups, fn, m = self.gammas, self.upsilons, self.fn, self.order
+            fn = self.fn
             # scipy's solver keeps rhs in a reference cycle: read the normal through held
             held = [self._normal]
 
@@ -248,12 +267,18 @@ class RecessiveBasis:
 
             try:
                 sol = _dense_solve(rhs, (max(y0, self.y_lo), self.y_top),
-                                   self.state(y0).ravel(), self._fast)
+                                   self.state(y0).ravel(), _CORE_RTOL, self._fast,
+                                   "recessive solution")
             finally:
                 held.clear()
             self._forward = (y0, sol)
-        p = self._forward[1](ys).reshape(self.order, self.order - 1, -1)
-        return np.tensordot(self.upsilons, p, 1).T @ np.asarray(coef, dtype=float)
+        p = self._forward[1](ys).reshape(m, m - 1, -1)
+        coef = np.asarray(coef, dtype=float)
+        f = np.tensordot(ups, p, 1).T @ coef
+        if not slope:
+            return f
+        rate = np.asarray(self.fn(np.exp(ys)), dtype=float)
+        return np.tensordot(ups * g, p, 1).T @ coef + rate * ups.sum() * f
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from omega_pricer.pricer import (
     value_bs,
     value_jump,
     _JumpValuation,
+    _fit_gap,
     _overshoot_mean,
 )
 from reference_scale import classical_w, classical_z, phi_right_inverse
@@ -498,6 +499,74 @@ def test_two_sided_flat_gain_raises(monkeypatch):
                         lambda self, l: -max(abs(l - 5.0) - 1.0, 0.0) ** 2)
     with pytest.raises(RuntimeError, match="not a local maximum"):
         optimize_boundaries(_step_two_sided(0.0), n_curve=64)
+
+
+def _jump_contract(sigma, two_sided):
+    if two_sided:
+        return _step_two_sided(sigma)
+    return PricingProblem(LevyModel.calibrated(r=0.05, sigma=sigma, lam=6.0, phi=2.0),
+                          Linear(0.1), 20.0)
+
+
+@pytest.mark.parametrize("two_sided", [False, True])
+@pytest.mark.parametrize("sigma", [0.0, 0.2])
+def test_fit_scan_batch_equals_per_node(sigma, two_sided):
+    """The u* scan reads its 48 nodes in one pass (one stacked basis read, one
+    batched solve); every node equals the scalar fit residual brentq polishes."""
+    pb = _jump_contract(sigma, two_sided)
+    val = _JumpValuation(pb)
+    gain = val.overshoot_gain(1.0 if two_sided else 0.0)
+    us = np.linspace(0.4, 0.995 * pb.strike, 48)
+    batch = _fit_gap(us, val, gain)
+    per_node = np.array([_fit_gap(u, val, gain) for u in us])
+    assert batch.shape == us.shape
+    assert np.max(np.abs(batch / per_node - 1.0)) < 1e-13
+
+
+# (l*, u*) of the jump contracts from the library before the fit scan read its
+# nodes in one batch and H moved from DOP853 to LSODA at rtol 1e-13
+_JUMP_BOUNDARY_PINS = {
+    (0.0, False): (0.0, 12.088892514475749),
+    (0.2, False): (0.0, 11.888878272615246),
+    (0.0, True): (0.9999999882200004, 17.627680604724635),
+    (0.2, True): (1.0059144994489568, 16.45436685881761),
+}
+
+
+@pytest.mark.parametrize("sigma, two_sided", list(_JUMP_BOUNDARY_PINS))
+def test_jump_boundaries_pinned(sigma, two_sided):
+    """l* and u* within 1e-10 relative of the pins (the bench contracts and
+    the sigma = 0.2 two-sided Step)."""
+    res = optimize_boundaries(_jump_contract(sigma, two_sided), n_curve=64)
+    l_ref, u_ref = _JUMP_BOUNDARY_PINS[(sigma, two_sided)]
+    assert res.l_star == pytest.approx(l_ref, rel=1e-10, abs=0.0)
+    assert res.u_star == pytest.approx(u_ref, rel=1e-10)
+
+
+@pytest.mark.parametrize("two_sided", [False, True])
+def test_jump_derivative_gaps_at_fit_tolerance(two_sided):
+    """value_deriv_fn reads the jets (H' below l, -1 on [l, u], the recessive
+    solution's F' above u), so the sigma = 0.2 derivative gaps are the
+    residuals of the boundary searches, not of a difference quotient inside
+    the fast boundary layer (which read 1.5e-5 at u and 7.9e-6 at l): u* is
+    a brentq root to 1e-10, l* a bounded maximiser to 1e-9 K = 2e-8, and the
+    gap at l moves about 100 per unit of l."""
+    res = optimize_boundaries(_jump_contract(0.2, two_sided), n_curve=64)
+    assert res.fit["derivative_gap_u"] < 1e-9
+    if two_sided:
+        assert res.fit["derivative_gap_l"] < 1e-6
+
+
+@pytest.mark.parametrize("two_sided", [False, True])
+@pytest.mark.parametrize("sigma", [0.0, 0.2])
+def test_jump_value_deriv_vs_difference(sigma, two_sided):
+    """The jets against central differences of the value, away from the kinks."""
+    res = optimize_boundaries(_jump_contract(sigma, two_sided), n_curve=64)
+    s = np.array([0.5, 0.9, 1.5, 3.0, 18.0, 25.0, 38.0])
+    s = s[(np.abs(s - res.l_star) > 0.1) & (np.abs(s - res.u_star) > 0.1)]
+    h = 1e-5 * s
+    diff = (res.value_fn(s + h) - res.value_fn(s - h)) / (2.0 * h)
+    assert res.value_deriv_fn(s) == pytest.approx(diff, rel=1e-7)
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.2])

@@ -143,6 +143,58 @@ def test_ode_vs_renewal_linear_rate(fixture, request):
         assert np.max(np.abs(a - b) / scale) < 1e-6
 
 
+def _tight_forward(dec, rate, xs, i0=None, phi=None):
+    """F = ups . P (and, with phi, int_0^x F e^{phi z} dz) of the renewal state
+    system at xs by scipy's DOP853 at rtol 2.3e-14, atol 1e-16."""
+    from scipy.integrate import solve_ivp
+
+    g = np.asarray(dec.gammas)
+    ups = np.asarray(dec.upsilons)
+    m = len(g)
+    v0 = np.ones(m) if i0 is None else np.eye(m)[i0] / ups[i0]
+
+    def rhs(x, v):
+        f = ups @ v[:m]
+        dp = g * v[:m] + rate(x) * f
+        return dp if phi is None else np.append(dp, f * math.exp(phi * x))
+
+    sol = solve_ivp(rhs, (0.0, xs[-1]), v0 if phi is None else np.append(v0, 0.0),
+                    method="DOP853", rtol=2.3e-14, atol=1e-16, t_eval=xs)
+    assert sol.success
+    return ups @ sol.y[:m], sol.y[-1]
+
+
+def _rel_err(got, ref):
+    """Largest relative error on x > 0 (W = 0 at x = 0 when sigma > 0)."""
+    return float(np.max(np.abs(got[1:] / ref[1:] - 1.0)))
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.2])
+def test_forward_state_vs_tight_reference(sigma):
+    """W, Z (crash Linear(0.1)) and H with its tail integral (two-sided Step)
+    from forward_state (LSODA at rtol 1e-13) within 2e-11 relative of a
+    tight DOP853 integration; at rtol 1e-11 the sigma = 0 W drifts 2e-10."""
+    model = LevyModel.calibrated(r=0.05, sigma=sigma, lam=6.0, phi=2.0)
+    grid = LogGrid(3.0, 301)
+    xs = grid.nodes()
+    tab = build_scale_table(model, Linear(0.1), grid)
+    dec = psi_roots(model)
+    rate = lambda x: float(Linear(0.1)(np.exp(x)))
+    assert _rel_err(tab.w, _tight_forward(dec, rate, xs)[0]) < 2e-11
+    i0 = int(np.argmin(np.abs(dec.gammas)))
+    assert _rel_err(tab.z, _tight_forward(dec, rate, xs, i0)[0]) < 2e-11
+
+    model = LevyModel.calibrated(r=0.30, sigma=sigma, lam=0.5, phi=3.0)
+    pb = PricingProblem(model, Step(-0.02, 0.12, y=1.0, direction="above"), 20.0)
+    ys = np.linspace(0.0, math.log(44.0), 301)
+    h, tail = _JumpValuation(pb)._forward(ys)
+    dec = psi_roots(model, -0.02)
+    h_ref, tail_ref = _tight_forward(dec, lambda y: float(pb.omega(math.exp(y))) + 0.02,
+                                     ys, int(np.argmax(dec.gammas)), model.phi)
+    assert _rel_err(h, h_ref) < 2e-11
+    assert _rel_err(tail, tail_ref) < 2e-11
+
+
 def test_ode_crash_initial_data(crash_model):
     # W(0) = 1/mu, W'(0) = (C + lam)/mu^2 for xi(x) = C e^x
     C = 0.1
