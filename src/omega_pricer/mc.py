@@ -30,12 +30,18 @@ lo times the time, is capped at (_DELTA / 3 sigma)^2 and ends early at a
 clock event of rate c = max(hi - lo, _C_MIN), where the path's weight takes
 the factor 1 - (omega(S) - lo) / c.
 
-The vectorised engine keeps the live paths in compact arrays in path order
-and filters them only on a step where some path stops or reaches the
-horizon.  A sigma = 0 path carries a level at its current point (A where it
-drifts, omega without a drift), so a step evaluates it once, at its new end,
-and again only where a jump moved the path.  Each estimate reports the
-number of path-steps it took.
+The vectorised engine keeps the live paths in compact arrays in path order.
+A sigma = 0 step moves them to their ends in place, in a few whole-array
+passes.  The jumps that end a step update the whole arrays when every live
+path jumps and none stopped before its jump, the common case of a pure-jump
+model, and gather only the jumping paths otherwise.  On a step where some
+path stops or reaches the horizon, compaction finds the ending paths with
+one np.flatnonzero and gathers the live ones with take.  A sigma = 0 path
+carries a level at its current point (A where it drifts, omega without a
+drift), so a step evaluates it once at its new end, and again only on the
+paths a jump moved that stay live.  Both jump updates make the same draws
+in the same order with the same arithmetic, so an estimate does not depend
+on which one runs.  Each estimate reports the number of path-steps it took.
 """
 
 from __future__ import annotations
@@ -100,6 +106,22 @@ _C_MIN = 0.05
 _W_MIN = 1e-3
 
 
+def _shorten_to_jumps(t_jump, t, dt_i):
+    """Shorten dt_i in place to the next jump wherever it comes first.
+
+    Returns the mask of those paths and their count: when every path jumps,
+    dt_i is overwritten with one subtraction and no index is gathered.
+    """
+    jumps_first = t_jump <= t + dt_i
+    n_jump = int(np.count_nonzero(jumps_first))
+    if n_jump == dt_i.size:
+        np.subtract(t_jump, t, out=dt_i)
+    elif n_jump:
+        jumping = np.flatnonzero(jumps_first)
+        dt_i[jumping] = t_jump[jumping] - t[jumping]
+    return jumps_first, n_jump
+
+
 def _engine(zeta: float, sigma: float, lam: float, phi: float, jumps_up: bool,
             omega_fn: Callable, omega_int: Callable, omega_bounds: Callable,
             payoff_fn: Callable, l: float, u: float, s0: float, n_paths: int,
@@ -160,35 +182,44 @@ def _engine(zeta: float, sigma: float, lam: float, phi: float, jumps_up: bool,
     with np.errstate(over="ignore"):
         w = level(x) if sigma == 0.0 else None
         while x.size:
-            path_steps += x.size
+            n = x.size
+            path_steps += n
             if sigma == 0.0:
                 # one step per event: a jump, the drift's exact arrival at the
                 # target barrier, or t_max; the discount integral is exact:
-                # (A(x_new) - A(x)) / zeta, or omega dt without a drift
+                # (A(x_new) - A(x)) / zeta, or omega dt without a drift.  The
+                # live arrays move to the step's end in place.
                 dt_i = t_max - t
-                hit = np.zeros(x.size, dtype=bool)
+                hit = None
                 if math.isfinite(target):
-                    gap = (target - x) / zeta
+                    gap = target - x
+                    gap /= zeta
                     hit = (gap > 0.0) & (gap <= dt_i)
-                    dt_i[hit] = gap[hit]
-                at_horizon = ~hit
+                    np.copyto(dt_i, gap, where=hit)
+                    del gap
+                at_horizon = np.ones(n, dtype=bool) if hit is None else ~hit
                 if lam > 0.0:
-                    jumping = np.flatnonzero(t_jump <= t + dt_i)
-                    dt_i[jumping] = t_jump[jumping] - t[jumping]
-                    at_horizon[jumping] = False
-                    hit[jumping] = False
-                x_new = zeta * dt_i
-                x_new += x
-                x_new[hit] = target
-                w_new = level(x_new)
+                    jumps_first, n_jump = _shorten_to_jumps(t_jump, t, dt_i)
+                    if n_jump:
+                        at_horizon &= ~jumps_first
+                        if hit is not None:
+                            hit &= ~jumps_first
+                t += dt_i
+                if zeta == 0.0:
+                    d += w * dt_i
+                dt_i *= zeta
+                x += dt_i
+                if hit is not None:
+                    np.copyto(x, target, where=hit)
+                w_new = level(x)
                 if zeta != 0.0:
-                    d_new = w_new - w
-                    d_new /= zeta
-                else:
-                    d_new = w * dt_i
-                d_new += d
-                t_new = t + dt_i
-                stopping = (x_new >= log_l) & (x_new <= log_u)
+                    # (A(x_new) - A(x)) / zeta, in dt_i's buffer
+                    np.subtract(w_new, w, out=dt_i)
+                    dt_i /= zeta
+                    d += dt_i
+                w = w_new
+                del dt_i
+                stopping = (x >= log_l) & (x <= log_u)
             else:
                 # one Gaussian step to the next event, a jump or t_max, and on
                 # clocked paths the cap or a clock event, tested against the
@@ -196,23 +227,23 @@ def _engine(zeta: float, sigma: float, lam: float, phi: float, jumps_up: bool,
                 # a and c are the distances of the step's start and end from
                 # it, c <= 0 where the end lies past it
                 dt_i = t_max - t
-                at_horizon = np.ones(x.size, dtype=bool)
+                at_horizon = np.ones(n, dtype=bool)
                 if clocked:
                     lo, hi = omega_bounds(np.exp(x - _DELTA), np.exp(x + _DELTA))
                     rate = np.maximum(hi - lo, _C_MIN)
-                    t_clock = rng_c.standard_exponential(x.size) / rate
+                    t_clock = rng_c.standard_exponential(n) / rate
                     capped = dt_i > step_cap
                     dt_i[capped] = step_cap
                     clocking = t_clock < dt_i
                     dt_i[clocking] = t_clock[clocking]
                     at_horizon &= ~(capped | clocking)
                 if lam > 0.0:
-                    jumping = np.flatnonzero(t_jump <= t + dt_i)
-                    dt_i[jumping] = t_jump[jumping] - t[jumping]
-                    at_horizon[jumping] = False
-                    if clocked:
-                        clocking[jumping] = False
-                x_new = rng_n.standard_normal(x.size)
+                    jumps_first, n_jump = _shorten_to_jumps(t_jump, t, dt_i)
+                    if n_jump:
+                        at_horizon &= ~jumps_first
+                        if clocked:
+                            clocking &= ~jumps_first
+                x_new = rng_n.standard_normal(n)
                 x_new *= np.sqrt(dt_i)
                 x_new *= sigma
                 x_new += x
@@ -246,56 +277,85 @@ def _engine(zeta: float, sigma: float, lam: float, phi: float, jumps_up: bool,
                 s_h *= dt_h
                 s_h /= mean
                 dt_i[stopping] = np.fmin(s_h, dt_h, out=s_h)
+                # freed before compaction, whose stopping-price pass would
+                # otherwise set the estimate's peak memory
+                del a_h, c_h, dt_h, mean, s_h
                 passed_dn = stopping & above
                 passed_up = stopping & below
-                d_new = dt_i * (lo if clocked else flat_rate)
-                d_new += d
-                t_new = t + dt_i
-                w_new = None
+                d += dt_i * (lo if clocked else flat_rate)
+                t += dt_i
+                x = x_new
+                del dt_i
                 if clocked:
                     # a clock event on a live path: its weight takes the factor
                     # 1 - (omega(S) - lo) / c; roulette keeps a weight below
                     # _W_MIN with probability |weight| / _W_MIN, raised to
                     # _W_MIN in size, and stops the others with weight 0
                     ev = np.flatnonzero(clocking & ~stopping)
-                    w_ev = wt[ev] * (1.0 - (omega_fn(np.exp(x_new[ev])) - lo[ev]) / rate[ev])
+                    w_ev = wt[ev] * (1.0 - (omega_fn(np.exp(x[ev])) - lo[ev]) / rate[ev])
                     small = np.flatnonzero(np.abs(w_ev) < _W_MIN)
                     kept = rng_c.random(small.size) * _W_MIN < np.abs(w_ev[small])
                     w_ev[small] = np.where(kept, np.copysign(_W_MIN, w_ev[small]), 0.0)
                     wt[ev] = w_ev
                     stopping[ev[small[~kept]]] = True
-            if lam > 0.0 and jumping.size:
-                jj = jumping[~stopping[jumping]]
-                if jj.size:
-                    x_new[jj] += jump_dir * rng_j.exponential(1.0 / phi, jj.size)
-                    landed = (x_new[jj] >= log_l) & (x_new[jj] <= log_u)
-                    stopping[jj[landed]] = True
-                    moved = jj[~landed]
-                    if w_new is not None:
-                        w_new[moved] = level(x_new[moved])
-                t_jump[jumping] = t_new[jumping] \
-                    + rng_j.exponential(1.0 / lam, jumping.size)
-            ending = at_horizon | stopping
-            if not ending.any():
-                x, t, d, w = x_new, t_new, d_new, w_new
-                continue
-            disc_at_stop[path[ending]] = d_new[ending]
-            censored[path[ending & ~stopping]] = True
-            # stopping price: the entry point, or the barrier a step passed
-            sp = np.exp(x_new[stopping])
-            if sigma > 0.0:
-                sp = np.where(passed_dn[stopping], u,
-                              np.where(passed_up[stopping], l, sp))
-            payoffs[path[stopping]] = np.minimum(payoff_fn(sp), payoff_cap)
-            live = ~ending
-            if clocked:
-                wt_at_stop[path[ending]] = wt[ending]
-                wt = wt[live]
-            x, t, d = x_new[live], t_new[live], d_new[live]
-            w = w_new[live] if w_new is not None else None
-            path = path[live]
-            if lam > 0.0:
-                t_jump = t_jump[live]
+            # the jumps at the step's end: on the whole live arrays when every
+            # path jumps and none stopped before (a sigma = 0 path's level is
+            # then read after compaction, on the paths that stay live), else
+            # on the jumping paths alone
+            relevel = False
+            if lam > 0.0 and n_jump:
+                if n_jump == n and not stopping.any():
+                    size = rng_j.exponential(1.0 / phi, n)
+                    size *= jump_dir
+                    x += size
+                    np.logical_and(x >= log_l, x <= log_u, out=stopping)
+                    relevel = w is not None
+                    np.add(t, rng_j.exponential(1.0 / lam, n), out=t_jump)
+                else:
+                    jumping = np.flatnonzero(jumps_first)
+                    jj = jumping[~stopping[jumping]]
+                    if jj.size:
+                        x_jj = x[jj] + jump_dir * rng_j.exponential(1.0 / phi, jj.size)
+                        x[jj] = x_jj
+                        landed = (x_jj >= log_l) & (x_jj <= log_u)
+                        stopping[jj[landed]] = True
+                        if w is not None:
+                            w[jj[~landed]] = level(x_jj[~landed])
+                    t_jump[jumping] = t[jumping] \
+                        + rng_j.exponential(1.0 / lam, jumping.size)
+            # compaction by index: one pass finds the paths that end, one the
+            # paths that stay, and each live array is gathered once
+            ending = np.logical_or(at_horizon, stopping, out=at_horizon)
+            end = np.flatnonzero(ending)
+            if end.size:
+                p_end = path[end]
+                disc_at_stop[p_end] = d[end]
+                if clocked:
+                    wt_at_stop[p_end] = wt[end]
+                st = stopping[end]
+                censored[p_end[~st]] = True
+                # stopping price: the entry point, or the barrier a step passed
+                idx = end[st]
+                sp = x.take(idx)
+                np.exp(sp, out=sp)
+                if sigma > 0.0:
+                    np.copyto(sp, u, where=passed_dn[idx])
+                    np.copyto(sp, l, where=passed_up[idx])
+                payoffs[p_end[st]] = np.minimum(payoff_fn(sp), payoff_cap)
+                del p_end, idx, sp
+                keep = np.flatnonzero(~ending)
+                x = x.take(keep)
+                t = t.take(keep)
+                d = d.take(keep)
+                path = path.take(keep)
+                if w is not None and not relevel:
+                    w = w.take(keep)
+                if clocked:
+                    wt = wt.take(keep)
+                if lam > 0.0:
+                    t_jump = t_jump.take(keep)
+            if relevel:
+                w = level(x)
     with np.errstate(over="ignore", under="ignore"):
         dfac = np.exp(-np.clip(disc_at_stop, -700.0, 700.0))
     if clocked:
@@ -403,12 +463,16 @@ def bermudan_dp(model: LevyModel, omega: DiscountFn, strike: float,
     pad_lo_x = x_lo + np.arange(-half_off, 0) * dx
     pad_lo = np.maximum(K - np.exp(pad_lo_x), 0.0) \
         * np.exp(-0.5 * delta * np.asarray(omega(np.exp(pad_lo_x)), dtype=float))
-    pad_hi = np.zeros(half_off)
+    # one padded buffer: payoff below the grid, zeros above, and each date's
+    # discounted values written into its middle
+    padded = np.concatenate([pad_lo, np.zeros(n_grid + half_off)])
+    mid = padded[half_off:half_off + n_grid]
     kernel = masses[::-1]
     for _ in range(n_dates):
-        integ = np.convolve(np.concatenate([pad_lo, v * disc_half, pad_hi]),
-                            kernel, mode="valid")
-        v = np.maximum(payoff, disc_half * integ)
+        np.multiply(v, disc_half, out=mid)
+        integ = np.convolve(padded, kernel, mode="valid")
+        integ *= disc_half
+        np.maximum(payoff, integ, out=v)
     return {"x_grid": xs, "s_grid": s, "values": v, "delta": delta,
             "kernel_residual_mass": residual, "kernel_mass_error": float(mass_err)}
 

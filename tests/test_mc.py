@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from omega_pricer import Constant, LevyModel, Linear, LogArea, Step
+from omega_pricer import Constant, LevyModel, Linear, LogArea, Step, Tabulated
 from omega_pricer.levy import laplace_exponent
 from omega_pricer.pricer import Boundaries, PricingProblem, optimize_boundaries, value_jump
 from omega_pricer.mc import (
@@ -147,47 +147,70 @@ def test_stopped_value_two_sided_sigma_pos_vs_analytic(s0):
     assert est.stderr < 0.01 * analytic
 
 
-# (mean, stderr, censored_fraction, truncation_mass) to 1e-12: a change to the
-# engine's cost must leave these bits alone, a change to the estimator moves them
-# (the sigma = 0 cases were re-pinned when their paths began to step from
-# event to event with the discount integrated exactly, bs_constant when
-# constant-rate sigma > 0 paths began to step from event to event with
-# Brownian-bridge crossings; the symmetry call side's truncation mass when
-# its payoff cap became the edge the path meets, l - K = 8 from below, not
-# u - K = 35; jump_step when non-constant sigma > 0 rates moved from a step
-# grid to the discount clock)
+# (mean, stderr, censored_fraction, truncation_mass) to 1e-12 and path_steps
+# exactly: a change to the engine's cost must leave these bits alone, a change
+# to the estimator moves them (the sigma = 0 cases were re-pinned when their
+# paths began to step from event to event with the discount integrated
+# exactly, bs_constant when constant-rate sigma > 0 paths began to step from
+# event to event with Brownian-bridge crossings; the symmetry call side's
+# truncation mass when its payoff cap became the edge the path meets, l - K = 8
+# from below, not u - K = 35; jump_step when non-constant sigma > 0 rates moved
+# from a step grid to the discount clock).  The last four sigma = 0 cases run
+# the step's other paths: no drift, a drift down onto u, paths censored at a
+# short horizon next to paths that stop, and entry at l by drift from below.
 PINNED = {
-    "crash_linear": (6.246430095417811, 0.06542097263250458, 0.0, 0.0),
+    "crash_linear": (6.246430095417811, 0.06542097263250458, 0.0, 0.0, 23734),
     "bs_constant": (5.02815214912052, 0.026977328366925304, 0.1028,
-                    0.005096314475226033),
-    "jump_step": (11.164650954590819, 0.04195065896986197, 0.0, 0.0),
-    "symmetry": ((5.685784456261715, 0.04914128556415137, 0.271, 1.6060939024379646),
+                    0.005096314475226033, 5000),
+    "jump_step": (11.164650954590819, 0.04195065896986197, 0.0, 0.0, 32620),
+    "symmetry": ((5.685784456261715, 0.04914128556415137, 0.271, 1.6060939024379646,
+                  54998),
                  (5.639960244079621, 0.0075323999049838435, 0.0088,
-                  0.1674163787121255)),
+                  0.1674163787121255, 14502)),
+    "zero_drift": (3.7391985203266986, 0.05216587833880002, 0.0, 0.0, 7248),
+    "drift_down_to_u": (9.90647310696159, 0.04119131795036245, 0.0, 0.0, 5781),
+    "mixed_censoring": (6.0398800297429105, 0.07108568525025469, 0.3394,
+                        2.2376526624953916, 10078),
+    "drift_entry_at_l": (13.498955827984622, 0.019508314239302715, 0.0, 0.0, 11930),
 }
 
 
 @pytest.mark.parametrize("case", sorted(PINNED))
 def test_engine_pinned_estimates(case, crash_model, crash_model_sigma, bs_model):
-    if case == "crash_linear":
-        ests = [stopped_value(crash_model, Linear(0.1), 20.0, Boundaries(0.0, 12.0),
-                              15.0, 5000, t_max=60.0, seed=31)]
-    elif case == "bs_constant":
-        ests = [stopped_value(bs_model, Constant(0.05), 20.0, Boundaries(0.0, 14.0),
-                              15.0, 5000, t_max=120.0, seed=32)]
-    elif case == "jump_step":
-        ests = [stopped_value(crash_model_sigma, Step(0.05, 0.10, 12.0), 20.0,
-                              Boundaries(0.0, 12.5), 15.0, 5000, t_max=60.0,
-                              seed=33)]
-    else:
+    b12 = Boundaries(0.0, 12.0)
+    runs = {
+        "crash_linear": lambda: stopped_value(crash_model, Linear(0.1), 20.0, b12,
+                                              15.0, 5000, t_max=60.0, seed=31),
+        "bs_constant": lambda: stopped_value(bs_model, Constant(0.05), 20.0,
+                                             Boundaries(0.0, 14.0), 15.0, 5000,
+                                             t_max=120.0, seed=32),
+        "jump_step": lambda: stopped_value(crash_model_sigma, Step(0.05, 0.10, 12.0),
+                                           20.0, Boundaries(0.0, 12.5), 15.0, 5000,
+                                           t_max=60.0, seed=33),
         # sigma = 0 call stopped on [28, 55]; the dual put has upward jumps
-        pb = PricingProblem(crash_model, Constant(0.06), 20.0, "call")
-        ests = symmetry_check(pb, 20.0, Boundaries(28.0, 55.0), 5000, 5.0, seed=34)
-    pinned = PINNED[case] if case == "symmetry" else (PINNED[case],)
+        "symmetry": lambda: symmetry_check(
+            PricingProblem(crash_model, Constant(0.06), 20.0, "call"), 20.0,
+            Boundaries(28.0, 55.0), 5000, 5.0, seed=34),
+        "zero_drift": lambda: stopped_value(LevyModel(mu=0.0, lam=1.0, phi=2.0),
+                                            Linear(0.1), 20.0, b12, 15.0, 5000,
+                                            t_max=30.0, seed=41),
+        "drift_down_to_u": lambda: stopped_value(LevyModel(mu=-0.2, lam=1.0, phi=2.0),
+                                                 Constant(0.05), 20.0, b12, 15.0,
+                                                 5000, t_max=60.0, seed=42),
+        "mixed_censoring": lambda: stopped_value(crash_model, Linear(0.1), 20.0, b12,
+                                                 15.0, 5000, t_max=0.5, seed=43),
+        "drift_entry_at_l": lambda: stopped_value(
+            LevyModel.calibrated(r=0.3, sigma=0.0, lam=0.5, phi=3.0),
+            Step(-0.02, 0.12, 1.0, "above"), 20.0, Boundaries(3.0, 4.0), 1.5, 5000,
+            t_max=100.0, seed=44),
+    }
+    ests = runs[case]()
+    ests, pinned = (ests, PINNED[case]) if case == "symmetry" else ((ests,), (PINNED[case],))
     assert len(ests) == len(pinned)
     for est, want in zip(ests, pinned):
         got = (est.mean, est.stderr, est.censored_fraction, est.truncation_mass)
-        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert got == pytest.approx(want[:4], rel=1e-12, abs=0.0)
+        assert est.path_steps == want[4]
 
 
 def test_path_steps_count(bs_model):
@@ -305,6 +328,21 @@ def test_truncation_mass_reported(bs_model):
     assert est.unreliable
 
 
+def test_sigma0_tabulated_rate_read_on_live_paths_only(crash_model):
+    """A sigma = 0 path reads the rate's antiderivative where it drifts and
+    where a jump leaves it live: paths landing below the hull of a Tabulated
+    rate stop there without a read, while paths drifting past its top raise."""
+    knots = np.geomspace(5.0, 1e6, 7)
+    fn = Tabulated(knots, 0.02 + 0.01 * np.log1p(knots))
+    est = stopped_value(crash_model, fn, 20.0, Boundaries(0.0, 12.0), 15.0, 3000,
+                        t_max=3.0, seed=9)
+    assert est.censored_fraction < 1.0 and est.mean > 0.0
+    low = np.geomspace(1e-3, 16.0, 7)
+    with pytest.raises(ValueError, match="outside the tabulated hull"):
+        stopped_value(crash_model, Tabulated(low, 0.02 + 0.01 * np.log1p(low)), 20.0,
+                      Boundaries(0.0, 12.0), 15.0, 3000, t_max=3.0, seed=9)
+
+
 # ---------------------------------------------------------------------------
 # Bermudan dynamic programming
 # ---------------------------------------------------------------------------
@@ -351,6 +389,26 @@ def test_bermudan_increases_with_horizon_and_mesh(bs_model):
         if prev is not None:
             assert np.all(vals >= prev - 1e-3)
         prev = vals
+
+
+# bermudan_value_at at s = 10, 14, 15, 18, 25 to 1e-12: a change to the
+# rollback's cost must leave these bits alone
+BERMUDAN_PINNED = {
+    "bs_constant_16": [9.99995630754777, 5.9999603458369, 4.999936640381112,
+                       2.792532944802675, 0.8214807761102341],
+    "jump_linear_8": [9.999936533002534, 5.999674756280549, 4.999557007890881,
+                      1.9997032886747017, 0.4103989023483871],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BERMUDAN_PINNED))
+def test_bermudan_pinned_values(case, bs_model, crash_model_sigma):
+    if case == "bs_constant_16":
+        res = bermudan_dp(bs_model, Constant(0.05), 20.0, 5.0, 16)
+    else:
+        res = bermudan_dp(crash_model_sigma, Linear(0.1), 20.0, 5.0, 8)
+    got = bermudan_value_at(res, [10.0, 14.0, 15.0, 18.0, 25.0])
+    assert list(got) == pytest.approx(BERMUDAN_PINNED[case], rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
