@@ -256,8 +256,8 @@ def _engine(zeta: float, sigma: float, lam: float, phi: float, jumps_up: bool,
                 np.subtract(log_l, x_new, out=c, where=below)
                 stopping = c <= 0.0
                 # short of the barrier: crossed with the bridge's probability;
-                # the draws work on subsets, and a and c are freed before the
-                # Wald draw, which keeps the step's peak memory low
+                # the draws work on subsets, and a and c are each freed once
+                # their subset is gathered, which keeps the step's peak memory low
                 short = ~stopping
                 p = a[short]
                 p *= c[short]
@@ -267,8 +267,12 @@ def _engine(zeta: float, sigma: float, lam: float, phi: float, jumps_up: bool,
                 stopping[short] = rng_n.random(p.size) < p
                 # crossing time s dt_i / (dt_i + s), s ~ Wald(a dt_i / c, a^2 / sigma^2);
                 # fmin maps the c = 0 limit (nan) to the step's end
-                a_h, c_h, dt_h = a[stopping], c[stopping], dt_i[stopping]
-                del a, c, p, short
+                del p, short
+                a_h = a[stopping]
+                del a
+                c_h = c[stopping]
+                del c
+                dt_h = dt_i[stopping]
                 mean = a_h * dt_h
                 mean /= np.abs(c_h, out=c_h)
                 a_h /= sigma

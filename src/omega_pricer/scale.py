@@ -19,9 +19,13 @@ library returns comes from that system:
   P = 1, Z from e_i0 / ups_i0 (i0 the zero root) and H, with the roots of
   psi - c, from e_i / ups_i (i the root Phi(c)).  It gives the tables of
   `build_scale_table` and the jump pricer's H for l > 0.
-* Every integration runs through `_dense_solve`: LSODA with dense output,
-  whose step loop runs in compiled code, at rtol 1e-11 for the basis and
-  its forward solutions (a fit root reads them) and 1e-13 for
+* Both helpers run ODEPACK's LSODA with its step loop in compiled code.
+  `_dense_solve` (scipy's solve_ivp with dense output) integrates the
+  basis normal and `forward_state`, whose reads are not known in advance
+  (root finders, minimisers and the forward right-hand side itself);
+  `_point_solve` (scipy's odeint) gives a recessive solution at the points it
+  is asked for and keeps nothing.  They run at rtol 1e-11 for the basis and
+  its recessive solutions (a fit root reads them) and 1e-13 for
   `forward_state` (its tables are read as they are).
 * The tests keep an independent reference for the state system in
   tests/reference_scale.py: the product-integration march of the renewal
@@ -31,11 +35,12 @@ library returns comes from that system:
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import ODEintWarning, odeint, solve_ivp
 
 from .discount import DiscountFn, check_flat_below_one
 from .levy import LevyModel, RootDecomposition, psi_roots
@@ -126,7 +131,8 @@ def _dense_solve(rhs, span, v0, rtol: float, fast: float, system: str):
     out of the solver is the solver's own: for sigma near 0 the fast mode of
     the state system (exponent fast, about -2 zeta / sigma^2) asks for steps
     in y below the spacing of doubles, and LSODA's dense output gets two
-    equal step times.
+    equal step times.  RecessiveBasis refuses such a sigma before it
+    integrates; forward_state relies on this error.
     """
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -142,6 +148,34 @@ def _dense_solve(rhs, span, v0, rtol: float, fast: float, system: str):
         raise RuntimeError(f"{system} integration failed near "
                            f"s = {math.exp(sol.t[-1]):.4g}: {sol.message}")
     return sol.sol
+
+
+# Step limit of _point_solve per output interval (odeint's default, 500, is
+# too few): the longest solve of the test suite (sigma = 0.01 drawn by the
+# property test) takes about 4,600 steps in all.
+_POINT_MXSTEP = 100_000
+
+
+def _point_solve(rhs, y0: float, ys: np.ndarray, v0, rtol: float, system: str) -> np.ndarray:
+    """Solution of v' = rhs(y, v), v(y0) = v0, at the sorted points ys >= y0, one
+    row each: LSODA through odeint at relative tolerance rtol (absolute 1e-3
+    rtol), with the whole step loop compiled and no dense output, never
+    stepping past ys[-1]; system names what is integrated in the errors."""
+    t = np.concatenate(([y0], ys))
+    with warnings.catch_warnings():
+        # a failure is read from the returned message, not from the warning
+        warnings.simplefilter("ignore", ODEintWarning)
+        with np.errstate(over="ignore", invalid="ignore"):
+            v, info = odeint(rhs, v0, t, rtol=rtol, atol=1e-3 * rtol, tcrit=t[-1:],
+                             mxstep=_POINT_MXSTEP, full_output=True, tfirst=True)
+    # rows past a failure are left unwritten, so the message is read first
+    if info["message"] not in ("Integration successful.",
+                               "Nothing was done; the integration time was 0."):
+        raise RuntimeError(f"{system} integration failed on s in [{math.exp(y0):.4g}, "
+                           f"{math.exp(t[-1]):.4g}]: {info['message']}")
+    if not np.all(np.abs(v) < 1e300):  # also catches inf and nan
+        raise OverflowError(f"{system} leaves double range; narrow its range")
+    return v[1:]
 
 
 class RecessiveBasis:
@@ -160,7 +194,8 @@ class RecessiveBasis:
     log(s_hi) + margin by a stiff-capable method (LSODA): the plane's fast
     mode, which would hold a direct integration of the plane to short steps,
     only decays in w.  A recessive solution given at one level is integrated
-    forward under P' = A (I - w w^T) P, which keeps w . P constant.
+    forward under P' = A (I - w w^T) P, which keeps w . P constant, for each
+    call of evaluate; only the normal is kept.
     """
 
     def __init__(self, model: LevyModel, fn: DiscountFn, s_lo: float, s_hi: float):
@@ -189,7 +224,15 @@ class RecessiveBasis:
             raise RuntimeError(f"no separated dominant mode at s = {math.exp(y_hi):.4g}: "
                                f"frozen exponents {lam}")
         w0 = vec[:, by_re[-1]].real
-        self._fast = float(lam[by_re[0]].real)
+        fast = float(lam[by_re[0]].real)
+        # for sigma near 0 the fast mode (exponent about -2 zeta / sigma^2) sets
+        # LSODA's first step near sqrt(rtol) / |fast|; below the spacing of
+        # doubles in y no solution is resolved (multiplied out: fast can be 0)
+        if abs(fast) * np.spacing(y_hi) > math.sqrt(_CORE_RTOL):
+            raise RuntimeError(f"recessive basis cannot resolve its fast frozen exponent "
+                               f"{fast:.3g} in double precision (steps in y near "
+                               f"{math.sqrt(_CORE_RTOL) / abs(fast):.3g}, spacing "
+                               f"{np.spacing(y_hi):.3g}); price with sigma = 0 or a larger sigma")
         fn(math.exp(self.y_lo))  # a rate undefined at the bottom raises here, not in LSODA
 
         def rhs(y, w):
@@ -198,8 +241,7 @@ class RecessiveBasis:
             return (w @ atw) * w - atw
 
         self._normal = _dense_solve(rhs, (y_hi, self.y_lo), w0 / np.linalg.norm(w0),
-                                    _CORE_RTOL, self._fast, "recessive basis")
-        self._forward = (None, None)
+                                    _CORE_RTOL, fast, "recessive basis")
 
     def _check(self, y) -> None:
         if np.any(y < self.y_lo - 1e-12) or np.any(y > self.y_top + 1e-12):
@@ -246,39 +288,32 @@ class RecessiveBasis:
         """F(ys) at ys >= y0 for the recessive solution F(y0) = basis(y0) @ coef,
         or with slope its derivative F'(ys) in y (the second row of basis).
 
-        The states of state(y0) are integrated forward to log(s_hi) once; the
-        last y0's solution is kept, so every coef at one level shares it.
+        Each call integrates the one state state(y0) @ coef forward from y0 to
+        the largest of ys and keeps nothing, so a caller passes all its points
+        at one level in one call.
         """
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
         self._check(np.append(ys, y0))
         if np.any(ys < y0 - 1e-12):
             raise ValueError("evaluation points must lie at or above y0")
-        g, ups, m = self.gammas, self.upsilons, self.order
-        if self._forward[0] != y0:
-            fn = self.fn
-            # scipy's solver keeps rhs in a reference cycle: read the normal through held
-            held = [self._normal]
+        g, ups, fn, normal = self.gammas, self.upsilons, self.fn, self._normal
 
-            def rhs(y, v):
-                w = held[0](y)
-                p = v.reshape(m, m - 1)
-                p = p - np.outer(w, (w @ p) / (w @ w))
-                return (g[:, None] * p + fn(math.exp(y)) * (ups @ p)).ravel()
+        def rhs(y, v):
+            w = normal(y)
+            p = v - w * ((w @ v) / (w @ w))
+            return g * p + fn(math.exp(y)) * (ups @ p)
 
-            try:
-                sol = _dense_solve(rhs, (max(y0, self.y_lo), self.y_top),
-                                   self.state(y0).ravel(), _CORE_RTOL, self._fast,
-                                   "recessive solution")
-            finally:
-                held.clear()
-            self._forward = (y0, sol)
-        p = self._forward[1](ys).reshape(m, m - 1, -1)
-        coef = np.asarray(coef, dtype=float)
-        f = np.tensordot(ups, p, 1).T @ coef
+        start = max(y0, self.y_lo)
+        order = np.argsort(ys, kind="stable")
+        p = np.empty((ys.size, self.order))
+        p[order] = _point_solve(rhs, start, np.maximum(ys[order], start),
+                                self.state(y0) @ np.asarray(coef, dtype=float),
+                                _CORE_RTOL, "recessive solution")
+        f = p @ ups
         if not slope:
             return f
         rate = np.asarray(self.fn(np.exp(ys)), dtype=float)
-        return np.tensordot(ups * g, p, 1).T @ coef + rate * ups.sum() * f
+        return p @ (ups * g) + rate * ups.sum() * f
 
 
 # ---------------------------------------------------------------------------

@@ -148,7 +148,7 @@ def test_two_sided_price_writes_l_condition_and_hjb(tmp_path):
     assert float(summary["hjb_stopping_violation"]) <= 1e-12
 
 
-@pytest.mark.parametrize("sigma", [1e-5, 1e-8, 1e-150, 5e-324])
+@pytest.mark.parametrize("sigma", [1e-5, 3e-6, 1e-6, 1e-7, 1e-8, 1e-150, 5e-324])
 def test_unresolvable_small_sigma_is_numerics_error(tmp_path, sigma):
     # the fast frozen exponent -2 zeta / sigma^2 is beyond double steps in y;
     # far below that the fast root of psi is beyond double range itself

@@ -334,28 +334,132 @@ def test_recessive_constants_self_convergence(crash_model_sigma, monkeypatch):
 
 def test_recessive_basis_integrations(crash_model, crash_model_sigma, monkeypatch):
     """Both orders integrate the basis once, backward over the whole range,
-    and evaluate integrates forward once per barrier level: every coefficient
-    vector read at one level shares that solve."""
+    and evaluate makes one point solve per call, from max(y0, y_lo) to the
+    largest requested point, whatever their order."""
     import omega_pricer.scale as scale
 
-    spans = []
-    solve_ivp = scale.solve_ivp
+    spans, points = [], []
+    solve_ivp, odeint = scale.solve_ivp, scale.odeint
 
     def counting(*args, **kwargs):
         spans.append(tuple(args[1]))
         return solve_ivp(*args, **kwargs)
 
+    def point_counting(func, y0, t, **kwargs):
+        points.append((t[0], t[-1]))
+        return odeint(func, y0, t, **kwargs)
+
     monkeypatch.setattr(scale, "solve_ivp", counting)
+    monkeypatch.setattr(scale, "odeint", point_counting)
     for model in (crash_model, crash_model_sigma):
         spans.clear()
+        points.clear()
         core = RecessiveBasis(model, Linear(0.1), 0.4, 44.0)
         assert len(spans) == 1
         assert spans[0][0] > np.log(44.0) and spans[0][1] == pytest.approx(np.log(0.4))
         coef = np.ones(core.order - 1)
         for y0 in (np.log(2.0), np.log(5.0)):
-            core.evaluate(y0, coef, [y0, y0 + 0.5])
-            core.evaluate(y0, -2.0 * coef, [y0 + 1.0])
-        assert spans[1:] == [(np.log(2.0), core.y_top), (np.log(5.0), core.y_top)]
+            core.evaluate(y0, coef, [y0 + 0.5, y0])
+            core.evaluate(y0, -2.0 * coef, [y0 + 1.0], slope=True)
+        # a level within rounding below the range starts at its bottom
+        core.evaluate(core.y_lo - 1e-13, coef, [core.y_lo, core.y_lo + 0.2])
+        assert len(spans) == 1
+        assert points == [(np.log(2.0), np.log(2.0) + 0.5), (np.log(2.0), np.log(2.0) + 1.0),
+                          (np.log(5.0), np.log(5.0) + 0.5), (np.log(5.0), np.log(5.0) + 1.0),
+                          (core.y_lo, core.y_lo + 0.2)]
+
+
+@pytest.mark.parametrize("fixture", ["crash_model", "crash_model_sigma"])
+def test_recessive_solution_reads_no_rate_above_last_point(fixture, request):
+    """The forward solve stops at the largest requested point: omega is never
+    read above it, with or without the slope."""
+    core = RecessiveBasis(request.getfixturevalue(fixture), Linear(0.1), 0.4, 44.0)
+    read = []
+    fn = core.fn
+
+    def recording(s):
+        read.append(float(np.max(s)))
+        return fn(s)
+
+    core.fn = recording
+    coef = np.ones(core.order - 1)
+    for y0, ys in ((np.log(2.0), [np.log(3.0), np.log(2.5)]),
+                   (np.log(5.0), [np.log(5.0) + 1e-12, np.log(5.0)])):
+        for slope in (False, True):
+            read.clear()
+            core.evaluate(y0, coef, ys, slope)
+            assert read and max(read) <= math.exp(max(ys))
+
+
+
+def test_point_solve_errors_are_typed(crash_model_sigma, monkeypatch):
+    """A point solve that fails raises a RuntimeError naming the system, with
+    no ODEintWarning escaping, and one that leaves double range an
+    OverflowError."""
+    import warnings
+
+    import omega_pricer.scale as scale
+
+    with pytest.raises(OverflowError, match="growth leaves double range"):
+        scale._point_solve(lambda y, v: 100.0 * v, 0.0, np.array([5.0, 10.0]), np.ones(1),
+                           1e-11, "growth")
+    core = RecessiveBasis(crash_model_sigma, Linear(0.1), 0.4, 44.0)
+    monkeypatch.setattr(scale, "_POINT_MXSTEP", 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RuntimeError, match="recessive solution integration failed .* "
+                                               "Excess work"):
+            core.evaluate(np.log(2.0), np.ones(core.order - 1), [np.log(30.0)])
+
+
+def _tight_recessive(core, y0, coef, ys):
+    """(F, F') at the sorted ys >= y0 of the recessive solution basis(y0) @ coef:
+    the m x (m - 1) recessive states of state(y0) integrated forward under the
+    projected system P' = A (I - w w^T / w.w) P by DOP853 at rtol 1e-13, then
+    combined by coef."""
+    from scipy.integrate import solve_ivp
+
+    g, ups, m = core.gammas, core.upsilons, core.order
+
+    def rhs(y, v):
+        w = core._normal(y)
+        p = v.reshape(m, m - 1)
+        p = p - np.outer(w, (w @ p) / (w @ w))
+        return (g[:, None] * p + core.fn(math.exp(y)) * (ups @ p)).ravel()
+
+    sol = solve_ivp(rhs, (y0, ys[-1]), core.state(y0).ravel(), method="DOP853",
+                    rtol=1e-13, atol=1e-16, t_eval=ys)
+    assert sol.success
+    p = sol.y.reshape(m, m - 1, -1)
+    f = np.tensordot(ups, p, 1).T @ coef
+    rate = np.asarray(core.fn(np.exp(ys)), dtype=float)
+    return f, np.tensordot(ups * g, p, 1).T @ coef + rate * ups.sum() * f
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.2])
+@pytest.mark.parametrize("contract", ["crash_linear", "step_two_sided"])
+def test_recessive_solution_vs_tight_reference(sigma, contract):
+    """evaluate's value and slope of the total passage factor (F(u) = 1,
+    landing mean 1) from u near the contract's u* (11.9-12.1 for the crash,
+    16.5-17.6 for the Step) to the top of the range within 1e-9 relative of a
+    tight DOP853 integration of the full projected state system.  Over the
+    whole range, from u = 2, LSODA's global error at rtol 1e-11 reaches 1.3e-9
+    for the sigma = 0.2 crash."""
+    if contract == "crash_linear":
+        pb = PricingProblem(LevyModel.calibrated(r=0.05, sigma=sigma, lam=6.0, phi=2.0),
+                            Linear(0.1), 20.0)
+        u = 12.0
+    else:
+        pb = PricingProblem(LevyModel.calibrated(r=0.30, sigma=sigma, lam=0.5, phi=3.0),
+                            Step(-0.02, 0.12, y=1.0, direction="above"), 20.0)
+        u = 17.0
+    val = _JumpValuation(pb)
+    coef = val._coef(u, 1.0, 1.0)[1]
+    ys = np.linspace(math.log(u), val.core.y_top, 41)
+    f_ref, slope_ref = _tight_recessive(val.core, math.log(u), coef, ys)
+    for got, ref in ((val.core.evaluate(math.log(u), coef, ys), f_ref),
+                     (val.core.evaluate(math.log(u), coef, ys, slope=True), slope_ref)):
+        assert float(np.max(np.abs(got / ref - 1.0))) < 1e-9
 
 
 @pytest.mark.parametrize("contract", ["crash_linear", "step_two_sided"])
